@@ -67,6 +67,7 @@ from .reconstruct import (
     hard_threshold,
     oracle_ls,
     rsnr_db,
+    squared_error,
 )
 from .seeding import derive_seed, make_rng
 from .signal_model import (

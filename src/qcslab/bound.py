@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .signal_model import SensingMatrix
+from .signal_model import SensingMatrix, sigma_n_for_isnr
 
 
 @dataclass(frozen=True)
@@ -176,12 +176,11 @@ def params_for_isnr(
     corr_s: float = 0.0,
 ) -> BoundParams:
     """BoundParams with the noise variance set from an input SNR in dB."""
-    sigma_n2 = (k * sigma_x2 / n) * 10.0 ** (-isnr_db / 10.0)
     return BoundParams(
         n=n,
         k=k,
         sigma_x2=sigma_x2,
-        sigma_n2=sigma_n2,
+        sigma_n2=sigma_n_for_isnr(k, sigma_x2, n, isnr_db),
         budget=budget,
         delta=delta,
         corr_s=corr_s,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError, QcsLabError
-from .quantize import sign_quantize, uniform_quantize
+from .quantize import dynamic_range, sign_quantize, uniform_quantize
 from .reconstruct import (
     BihtVariant,
     SolverOptions,
@@ -32,12 +31,15 @@ from .reconstruct import (
     bpdn,
     oracle_ls,
     rsnr_db,
+    squared_error,
 )
 from .seeding import derive_seed
 from .signal_model import (
+    NoiseSpec,
     gen_gaussian_matrix,
     gen_sparse_signal,
     make_tight_frame,
+    measure,
     sigma_n_for_isnr,
 )
 
@@ -298,6 +300,19 @@ def _applicable_algorithms(algorithms, bit_depth: int) -> List[str]:
     return [a for a in algorithms if a in family]
 
 
+def _skip_reason(cfg: ExperimentConfig, m: int, bit_depth: int) -> Optional[str]:
+    """Why tuples with m measurements of bit_depth bits cannot run, or None."""
+    if m < 1:
+        return f"m = {m} < 1"
+    if m < cfg.k:
+        return f"m = {m} < k = {cfg.k}"
+    if cfg.matrix_kind == "tight_frame" and m > cfg.n:
+        return f"m = {m} > n = {cfg.n}: a tight frame needs m <= n"
+    if not _applicable_algorithms(cfg.algorithms, bit_depth):
+        return f"no requested algorithm applies at B = {bit_depth}"
+    return None
+
+
 def run_trial(
     cfg: ExperimentConfig,
     budget: int,
@@ -308,10 +323,10 @@ def run_trial(
 ) -> List[TrialResult]:
     """Execute one trial of one tuple and score every applicable algorithm.
 
-    Pipeline: draw Phi and x, add signal noise at the requested ISNR,
-    set the quantizer range from the noiseless measurements, quantize,
-    reconstruct. The 1-bit path keeps only signs and rescales estimates
-    to the true norm before scoring.
+    Pipeline: draw Phi and x, measure Phi x and Phi (x + n) with signal
+    noise at the requested ISNR, set the quantizer range from the
+    noiseless measurements, quantize (signs when B = 1), reconstruct.
+    1-bit estimates are rescaled to the true norm before scoring.
     """
     m = budget // bit_depth
     seed = derive_seed(
@@ -330,17 +345,29 @@ def run_trial(
     phi = gen_gaussian_matrix(m, cfg.n, rng)
     if cfg.matrix_kind == "tight_frame":
         phi = make_tight_frame(phi)
-    y_clean = phi.entries @ x.values
-    if sigma_n2 > 0:
-        noise = math.sqrt(sigma_n2) * rng.standard_normal(cfg.n)
-        y = y_clean + phi.entries @ noise
+    y_clean = measure(phi, x.values)
+    y = measure(phi, x.values, NoiseSpec(sigma_n2=sigma_n2), rng)
+
+    one_bit = bit_depth == 1
+    if one_bit:
+        y_q = sign_quantize(y)
     else:
-        y = y_clean
+        y_q = uniform_quantize(y, dynamic_range(y_clean), bit_depth)
 
-    x_norm = float(np.linalg.norm(x.values))
+    biht_opts = SolverOptions(k=cfg.k)
+    solvers = {
+        "oracle_ls": lambda: oracle_ls(phi, y_q, x.support),
+        "bpdn": lambda: bpdn(phi, y_q, float(np.linalg.norm(y - y_q)), SolverOptions()),
+        "biht_l1": lambda: biht(phi, y_q, BihtVariant.ONE_SIDED_L1, biht_opts),
+        "biht_l2": lambda: biht(phi, y_q, BihtVariant.ONE_SIDED_L2, biht_opts),
+    }
     rows: List[TrialResult] = []
-
-    def _emit(algorithm, rsnr, mse, hamming, elapsed):
+    for alg in _applicable_algorithms(cfg.algorithms, bit_depth):
+        t0 = time.perf_counter()
+        res = solvers[alg]()
+        elapsed = time.perf_counter() - t0
+        # oracle_ls returns the bare estimate, the iterative solvers a ReconResult.
+        estimate = getattr(res, "estimate", res)
         rows.append(
             TrialResult(
                 n=cfg.n,
@@ -349,56 +376,15 @@ def run_trial(
                 bit_depth=bit_depth,
                 m=m,
                 isnr_db=float(isnr),
-                algorithm=algorithm,
+                algorithm=alg,
                 trial=trial_index,
-                rsnr_db=rsnr,
-                recon_mse=mse,
-                hamming=hamming,
+                rsnr_db=rsnr_db(x.values, estimate, rescale_1bit=one_bit),
+                recon_mse=squared_error(x.values, estimate, rescale_1bit=one_bit),
+                hamming=getattr(res, "consistency_hamming", None),
                 wall_time_ms=elapsed * 1e3 if record_timing else 0.0,
                 seed=seed,
             )
         )
-
-    if bit_depth == 1:
-        y_sign = sign_quantize(y)
-        variants = {
-            "biht_l1": BihtVariant.ONE_SIDED_L1,
-            "biht_l2": BihtVariant.ONE_SIDED_L2,
-        }
-        for alg in _applicable_algorithms(cfg.algorithms, 1):
-            t0 = time.perf_counter()
-            res = biht(phi, y_sign, variants[alg], SolverOptions(k=cfg.k))
-            elapsed = time.perf_counter() - t0
-            est = res.estimate
-            nh = float(np.linalg.norm(est))
-            scaled = est * (x_norm / nh) if nh > 0 else est
-            mse = float(np.sum((x.values - scaled) ** 2))
-            _emit(
-                alg,
-                rsnr_db(x.values, est, rescale_1bit=True),
-                mse,
-                res.consistency_hamming,
-                elapsed,
-            )
-    else:
-        t_range = float(np.max(np.abs(y_clean)))
-        if t_range == 0.0:
-            raise InvalidParameterError("degenerate trial: zero noiseless measurements")
-        y_q = uniform_quantize(y, t_range, bit_depth)
-        algs = _applicable_algorithms(cfg.algorithms, bit_depth)
-        if "oracle_ls" in algs:
-            t0 = time.perf_counter()
-            x_hat = oracle_ls(phi, y_q, x.support)
-            elapsed = time.perf_counter() - t0
-            mse = float(np.sum((x.values - x_hat) ** 2))
-            _emit("oracle_ls", rsnr_db(x.values, x_hat), mse, None, elapsed)
-        if "bpdn" in algs:
-            eps = float(np.linalg.norm(y - y_q))
-            t0 = time.perf_counter()
-            res = bpdn(phi, y_q, eps, SolverOptions())
-            elapsed = time.perf_counter() - t0
-            mse = float(np.sum((x.values - res.estimate) ** 2))
-            _emit("bpdn", rsnr_db(x.values, res.estimate), mse, None, elapsed)
     return rows
 
 
@@ -452,42 +438,23 @@ def run_sweep(
 ) -> ResultTable:
     """Run every (budget, bit depth, ISNR) tuple over all trials.
 
-    Tuples that cannot be executed (m < 1, m < k, or no applicable
-    algorithm) are skipped with a recorded reason; a failing trial is
-    recorded and does not abort the sweep. Output ordering is tuple-major
-    then trial-major and independent of the worker count. Wall times are
-    recorded only with record_timing, keeping default output bytes
-    reproducible run to run.
+    Tuples that cannot be executed (m < 1, m < k, m > n for a tight
+    frame, or no applicable algorithm) are skipped with a recorded
+    reason; a failing trial is recorded and does not abort the sweep.
+    Output ordering is tuple-major then trial-major and independent of
+    the worker count. Wall times are recorded only with record_timing,
+    keeping default output bytes reproducible run to run.
     """
     tuples = []
     skips: List[SkipRecord] = []
     for budget in cfg.resolved_budgets():
         for bit_depth in cfg.bit_grid:
+            reason = _skip_reason(cfg, budget // bit_depth, bit_depth)
             for isnr in cfg.isnr_list:
-                m = budget // bit_depth
-                if m < 1:
-                    skips.append(
-                        SkipRecord(budget, bit_depth, isnr, f"m = {m} < 1")
-                    )
-                    continue
-                if m < cfg.k:
-                    skips.append(
-                        SkipRecord(
-                            budget, bit_depth, isnr, f"m = {m} < k = {cfg.k}"
-                        )
-                    )
-                    continue
-                if not _applicable_algorithms(cfg.algorithms, bit_depth):
-                    skips.append(
-                        SkipRecord(
-                            budget,
-                            bit_depth,
-                            isnr,
-                            f"no requested algorithm applies at B = {bit_depth}",
-                        )
-                    )
-                    continue
-                tuples.append((budget, bit_depth, isnr))
+                if reason:
+                    skips.append(SkipRecord(budget, bit_depth, isnr, reason))
+                else:
+                    tuples.append((budget, bit_depth, isnr))
 
     tasks = [
         (ti, trial)

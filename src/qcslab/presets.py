@@ -8,7 +8,7 @@ variant of the budget sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from .harness import ExperimentConfig
@@ -81,9 +81,7 @@ def _ci(seed: int) -> ExperimentConfig:
 
 
 def _k60(seed: int) -> ExperimentConfig:
-    cfg = _fig3(seed)
-    cfg.k = 60
-    return cfg
+    return replace(_fig3(seed), k=60)
 
 
 _SWEEP_PRESETS = {

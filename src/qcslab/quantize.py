@@ -2,19 +2,19 @@
 
 The uniform quantizer partitions [-T, T] into 2^B equal cells of width
 Delta = T * 2^(1-B) and maps to cell midpoints, so any input inside the
-range incurs error at most Delta/2. The Lloyd-Max design alternates
-centroid and nearest-neighbor conditions for a zero-mean Gaussian source.
+range incurs error at most Delta/2. The Lloyd-Max design solves the
+centroid and nearest-neighbor conditions for a zero-mean Gaussian source
+from closed-form cell moments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.stats import norm
 
 from .errors import (
     DegenerateRangeError,
@@ -111,24 +111,41 @@ def sign_quantize(v: np.ndarray) -> np.ndarray:
     return np.where(v >= 0, 1.0, -1.0)
 
 
-def _gauss_pdf(sigma: float):
-    scale = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
-    inv2v = 1.0 / (2.0 * sigma * sigma)
-
-    def pdf(u: float) -> float:
-        return scale * math.exp(-u * u * inv2v)
-
-    return pdf
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _cell_mass(a: float, b: float, pdf) -> float:
-    val, _ = quad(pdf, a, b)
-    return val
+def _half_line_moments(edges: np.ndarray):
+    """Density at the edges and N(0, 1) moments of the cells [e_i, e_i+1].
+
+    Edges start at 0 and end at +inf. Returns the density at every edge,
+    then each cell's mass Phi(b) - Phi(a), taken from upper tails (erfc),
+    first moment phi(a) - phi(b) and second moment mass + a phi(a) - b phi(b).
+    """
+    pdf = _INV_SQRT_2PI * np.exp(-0.5 * edges * edges)
+    tail = np.array([0.5 * math.erfc(u / math.sqrt(2.0)) for u in edges.tolist()])
+    lo, hi = edges[:-1], edges[1:]
+    mass = tail[:-1] - tail[1:]
+    first = -pdf[:-1] * np.expm1(-0.5 * (hi - lo) * (hi + lo))
+    edge_term = np.append(lo * pdf[:-1], 0.0)
+    second = mass + edge_term[:-1] - edge_term[1:]
+    return pdf, mass, first, second
 
 
-def _cell_first_moment(a: float, b: float, pdf) -> float:
-    val, _ = quad(lambda u: u * pdf(u), a, b)
-    return val
+def _solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
+    """Thomas algorithm: sub[i] and sup[i] couple rows i+1, i and i, i+1.
+
+    No pivoting: the Lloyd-Max Jacobian is diagonally dominant, because a
+    cell centroid of a log-concave density moves less than its edges.
+    """
+    sub, diag, sup, out = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
+    for i in range(len(sub)):
+        w = sub[i] / diag[i]
+        diag[i + 1] -= w * sup[i]
+        out[i + 1] -= w * out[i]
+    out[-1] /= diag[-1]
+    for i in range(len(sub) - 1, -1, -1):
+        out[i] = (out[i] - sup[i] * out[i + 1]) / diag[i]
+    return np.array(out)
 
 
 def lloyd_max(
@@ -139,11 +156,19 @@ def lloyd_max(
 ) -> LloydMaxSpec:
     """Design the MSE-optimal 2^b-level quantizer for N(0, sigma2).
 
-    Runs Lloyd iterations (cell centroids, then midpoint thresholds) from
-    equal-probability initial thresholds until the largest level movement
-    falls below tol * sigma. Moment integrals use adaptive quadrature of
-    the Gaussian density. On non-convergence the best iterate is returned
-    with converged=False.
+    The codebook is odd-symmetric, so only the 2^(b-1) positive cells are
+    designed. Each iteration takes the cell centroids and the residual of
+    the nearest-neighbor condition t_j = (c_j + c_(j+1)) / 2, then a
+    Newton step on the thresholds; its Jacobian is tridiagonal, with
+    dc/da = phi(a) (c - a) / mass and dc/db = phi(b) (b - c) / mass.
+    The Panter-Dite thresholds (equal-mass cells of N(0, 3 sigma2)) start
+    the iteration; from there the undamped step keeps the thresholds
+    ordered at every supported b (checked for b = 1..16). It stops once
+    every residual is at most tol * sigma, about five iterations; a
+    residual relative to the level spacing would stall above 1e-10 from
+    b = 12 on, where Phi(b) - Phi(a) rounds away a narrow cell's mass.
+    After max_iter iterations the last iterate is returned with
+    converged=False.
     """
     if b < 1:
         raise InvalidParameterError("bits must be >= 1")
@@ -151,43 +176,36 @@ def lloyd_max(
         raise InvalidParameterError("lloyd_max supports at most 16 bits")
     if sigma2 <= 0:
         raise InvalidParameterError("sigma2 must be positive")
+    if max_iter < 1:
+        raise InvalidParameterError("max_iter must be >= 1")
     sigma = math.sqrt(sigma2)
-    pdf = _gauss_pdf(sigma)
-    n_levels = 2**b
-    # Equal-mass starting cells; interior thresholds only.
-    bounds = sigma * norm.ppf(np.linspace(0.0, 1.0, n_levels + 1))
-    thresholds = bounds[1:-1].copy()
-    levels = np.zeros(n_levels)
+    cells = 2 ** (b - 1)
+    start = NormalDist(0.0, math.sqrt(3.0))
+    inner = np.array([start.inv_cdf(0.5 + j / (2 * cells)) for j in range(1, cells)])
     converged = False
-    iterations = 0
     for iterations in range(1, max_iter + 1):
-        edges = np.concatenate(([-np.inf], thresholds, [np.inf]))
-        new_levels = np.empty(n_levels)
-        for i in range(n_levels):
-            mass = _cell_mass(edges[i], edges[i + 1], pdf)
-            if mass <= 0.0:
-                # Empty tail cell: park the level at the inner edge.
-                new_levels[i] = edges[i] if np.isfinite(edges[i]) else edges[i + 1]
-                continue
-            new_levels[i] = _cell_first_moment(edges[i], edges[i + 1], pdf) / mass
-        move = float(np.max(np.abs(new_levels - levels))) if iterations > 1 else math.inf
-        levels = new_levels
-        thresholds = 0.5 * (levels[:-1] + levels[1:])
-        if move <= tol * sigma:
+        edges = np.concatenate(([0.0], inner, [math.inf]))
+        pdf, mass, first, _ = _half_line_moments(edges)
+        centroids = first / mass
+        resid = inner - 0.5 * (centroids[:-1] + centroids[1:])
+        if np.all(np.abs(resid) <= tol):
             converged = True
             break
-    edges = np.concatenate(([-np.inf], thresholds, [np.inf]))
-    mse = 0.0
-    for i in range(n_levels):
-        val, _ = quad(
-            lambda u, li=levels[i]: (u - li) ** 2 * pdf(u),
-            edges[i],
-            edges[i + 1],
+        d_lo = pdf[:-1] * (centroids - edges[:-1]) / mass
+        d_hi = pdf[1:-1] * (edges[1:-1] - centroids[:-1]) / mass[:-1]
+        inner = inner - _solve_tridiagonal(
+            -0.5 * d_lo[1:-1], 1.0 - 0.5 * (d_hi + d_lo[1:]), -0.5 * d_hi[1:], resid
         )
-        mse += val
+    midpoints = 0.5 * (centroids[:-1] + centroids[1:])
+    _, mass, first, second = _half_line_moments(
+        np.concatenate(([0.0], midpoints, [math.inf]))
+    )
+    c = centroids
+    mse = 2.0 * sigma2 * float(np.sum(second - 2.0 * c * first + c * c * mass))
+    levels = sigma * np.concatenate((-c[::-1], c))
     return LloydMaxSpec(
         levels=levels,
-        thresholds=thresholds,
+        thresholds=0.5 * (levels[:-1] + levels[1:]),
         converged=converged,
         iterations=iterations,
         mse=mse,

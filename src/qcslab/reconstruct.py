@@ -295,25 +295,35 @@ def biht(
     )
 
 
-def rsnr_db(x_true: np.ndarray, x_hat: np.ndarray, rescale_1bit: bool = False) -> float:
-    """Reconstruction SNR 10 log10(|x|^2 / |x - x_hat|^2) in dB.
+def squared_error(
+    x_true: np.ndarray, x_hat: np.ndarray, rescale_1bit: bool = False
+) -> float:
+    """Squared reconstruction error |x - x_hat|^2.
 
-    With rescale_1bit the estimate is first scaled to the true norm,
-    since sign measurements lose the signal scale. Exact recovery is
-    capped at 300 dB.
+    With rescale_1bit a nonzero estimate is first scaled to the true norm,
+    since sign measurements lose the signal scale.
     """
     x_true = np.asarray(x_true, dtype=float)
     x_hat = np.asarray(x_hat, dtype=float)
     if x_true.shape != x_hat.shape:
         raise DimensionMismatchError("length mismatch")
-    nt = float(np.linalg.norm(x_true))
-    if nt == 0.0:
-        raise InvalidParameterError("x_true must be nonzero")
     if rescale_1bit:
         nh = float(np.linalg.norm(x_hat))
         if nh > 0:
-            x_hat = x_hat * (nt / nh)
-    err = float(np.sum((x_true - x_hat) ** 2))
+            x_hat = x_hat * (float(np.linalg.norm(x_true)) / nh)
+    return float(np.sum((x_true - x_hat) ** 2))
+
+
+def rsnr_db(x_true: np.ndarray, x_hat: np.ndarray, rescale_1bit: bool = False) -> float:
+    """Reconstruction SNR 10 log10(|x|^2 / |x - x_hat|^2) in dB.
+
+    The error is squared_error's, rescaled for 1-bit estimates. Exact
+    recovery is capped at 300 dB.
+    """
+    err = squared_error(x_true, x_hat, rescale_1bit)
+    nt = float(np.linalg.norm(x_true))
+    if nt == 0.0:
+        raise InvalidParameterError("x_true must be nonzero")
     if err == 0.0:
         return RSNR_CAP_DB
     return min(10.0 * math.log10(nt * nt / err), RSNR_CAP_DB)

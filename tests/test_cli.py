@@ -1,9 +1,11 @@
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
 from qcslab.cli import main
+from qcslab.presets import sweep_preset
 
 
 def write_tiny_config(path, **overrides):
@@ -157,3 +159,9 @@ class TestPresetsCmd:
         out = capsys.readouterr().out
         for name in ("fig1", "fig2", "fig3", "fig4", "ci", "k60"):
             assert name in out
+
+    def test_k60_is_fig3_with_denser_signals(self):
+        k60, fig3 = sweep_preset("k60"), sweep_preset("fig3")
+        assert k60.k == 60
+        assert fig3.k == 10
+        assert replace(k60, k=10) == fig3

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qcslab as q
+from qcslab.cli import main
 from qcslab.harness import (
     AGGREGATE_COLUMNS,
     RESULT_COLUMNS,
@@ -136,6 +137,24 @@ class TestRunSweep:
         table = q.run_sweep(cfg)
         assert len(table.skips) == 1
         assert "no requested algorithm" in table.skips[0].reason
+
+    def test_tight_frame_skips_m_above_n_once_per_tuple(self, tmp_path):
+        cfg = tiny_config(
+            matrix_kind="tight_frame", budgets=["1N", "3N"], bit_grid=[1, 2, 4, 8]
+        )
+        table = q.run_sweep(cfg)
+        # 3N at B = 1, 2 gives m = 192, 96 > n = 64; every other tuple runs.
+        assert [(s.budget, s.reason.split(":")[0]) for s in table.skips] == [
+            (192, "m = 192 > n = 64"),
+            (192, "m = 96 > n = 64"),
+        ]
+        assert {(r.budget, r.bit_depth) for r in table.rows} == {
+            (64, 1), (64, 2), (64, 4), (64, 8), (192, 4), (192, 8)
+        }
+        path = tmp_path / "cfg.json"
+        q.write_config(cfg, path)
+        # Skipped tuples still make the sweep a partial failure.
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
 
     def test_deterministic_across_runs_and_workers(self):
         cfg = tiny_config()

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -119,11 +121,19 @@ class TestLloydMax:
             uni = q.distortion(samples, q.uniform_quantize(samples, 4.0, b))
             assert lm <= uni
 
+    def test_converges_to_fixed_point(self):
+        for b in range(1, 13):
+            assert q.lloyd_max(b, 1.0).converged, b
+        # Panter-Dite high-resolution distortion (pi sqrt(3) / 2) 4^-b at b = 8.
+        assert q.lloyd_max(8, 1.0).mse <= math.pi * math.sqrt(3.0) / 2.0 * 4.0**-8
+
     def test_invalid_parameters(self):
         with pytest.raises(q.InvalidParameterError):
             q.lloyd_max(0, 1.0)
         with pytest.raises(q.InvalidParameterError):
             q.lloyd_max(2, 0.0)
+        with pytest.raises(q.InvalidParameterError):
+            q.lloyd_max(2, 1.0, max_iter=0)
 
     def test_spec_invariants_enforced(self):
         with pytest.raises(q.InvalidParameterError):
@@ -167,3 +177,12 @@ class TestDistortion:
     def test_length_mismatch(self):
         with pytest.raises(q.DimensionMismatchError):
             q.distortion(np.zeros(3), np.zeros(2))
+
+
+def test_import_does_not_load_scipy():
+    code = (
+        "import qcslab, sys; "
+        "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

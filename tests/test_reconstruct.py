@@ -178,6 +178,12 @@ class TestMetrics:
         assert q.rsnr_db(x, np.zeros(3)) == pytest.approx(0.0, abs=1e-12)
         assert q.rsnr_db(x, 0.5 * x, rescale_1bit=True) == 300.0
 
+    def test_squared_error_examples(self):
+        x = np.array([3.0, 4.0, 0.0])
+        assert q.squared_error(x, 0.5 * x) == pytest.approx(6.25)
+        assert q.squared_error(x, 0.5 * x, rescale_1bit=True) == 0.0
+        assert q.squared_error(x, np.zeros(3), rescale_1bit=True) == 25.0
+
     def test_rsnr_scale_invariance(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal(50)
