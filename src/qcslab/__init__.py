@@ -72,7 +72,6 @@ from .reconstruct import (
 from .seeding import derive_seed, make_rng
 from .signal_model import (
     MatrixKind,
-    NoiseSpec,
     SensingMatrix,
     SparseSignal,
     gen_gaussian_matrix,

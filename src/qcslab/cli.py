@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
 from . import bound as bound_mod
 from . import presets
-from .errors import ConfigError, QcsLabError
+from .errors import ConfigError, InvalidParameterError, QcsLabError
 from .harness import (
     ExperimentConfig,
     ResultTable,
@@ -71,6 +72,36 @@ def _parse_bits(text: str, flag: str = "--bits") -> List[int]:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise _UsageError(f"{flag}: cannot parse {text!r}")
+
+
+@contextmanager
+def _blame(flag: str):
+    """Report a parameter error raised in the block as a usage error on flag."""
+    try:
+        yield
+    except (ConfigError, InvalidParameterError) as exc:
+        raise _UsageError(f"{flag}: {exc}") from exc
+
+
+def _bound_budget(args) -> int:
+    """The bound-curve budget, once every flag the bound reads is checked.
+
+    Each check adds one flag's value, so a domain error names that flag.
+    """
+    if args.n < 1:
+        raise _UsageError("--n: must be >= 1")
+    if not 1 <= args.k <= args.n:
+        raise _UsageError("--k: must satisfy 1 <= k <= n")
+    if not args.sigma_x2 > 0:
+        raise _UsageError("--sigma-x2: must be positive")
+    with _blame("--budget"):
+        budget = parse_budget(args.budget, args.n)
+        params = bound_mod.BoundParams(args.n, args.k, args.sigma_x2, 0.0, budget)
+    with _blame("--delta"):
+        params = replace(params, delta=args.delta)
+    with _blame("--corr-s"):
+        replace(params, corr_s=args.corr_s)
+    return budget
 
 
 def _fmt_num(value: float) -> str:
@@ -143,7 +174,7 @@ def _cmd_bound_curve(args) -> int:
         mode = args.mode
     if not isnr_list:
         raise _UsageError("--isnr: need at least one value")
-    budget = parse_budget(args.budget, args.n)
+    budget = _bound_budget(args)
     for isnr in isnr_list:
         params = bound_mod.params_for_isnr(
             isnr,
@@ -154,7 +185,8 @@ def _cmd_bound_curve(args) -> int:
             delta=args.delta,
             corr_s=args.corr_s,
         )
-        curve = bound_mod.optimal_bitdepth(params, min(bits), max(bits), mode=mode)
+        with _blame("--bits"):
+            curve = bound_mod.optimal_bitdepth(params, min(bits), max(bits), mode=mode)
         tag = _fmt_num(isnr)
         csv_lines = ["bit_depth,bound_value,is_min"]
         for b, v in zip(curve.bit_grid, curve.values):

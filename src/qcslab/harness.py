@@ -13,12 +13,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .reconstruct import (
 )
 from .seeding import derive_seed
 from .signal_model import (
-    NoiseSpec,
     gen_gaussian_matrix,
     gen_sparse_signal,
     make_tight_frame,
@@ -49,36 +49,6 @@ ONEBIT_ALGORITHMS = ("biht_l1", "biht_l2")
 MATRIX_KINDS = ("iid_gaussian", "tight_frame")
 QUANTIZERS = ("uniform",)
 THREADS_ENV_VAR = "QCSLAB_THREADS"
-
-RESULT_COLUMNS = [
-    "n",
-    "k",
-    "budget",
-    "bit_depth",
-    "m",
-    "isnr_db",
-    "algorithm",
-    "trial",
-    "rsnr_db",
-    "recon_mse",
-    "hamming",
-    "wall_time_ms",
-    "seed",
-]
-
-AGGREGATE_COLUMNS = [
-    "n",
-    "k",
-    "budget",
-    "bit_depth",
-    "m",
-    "isnr_db",
-    "algorithm",
-    "trials",
-    "rsnr_mean",
-    "rsnr_median",
-    "rsnr_std",
-]
 
 
 def parse_budget(value, n: int) -> int:
@@ -94,10 +64,9 @@ def parse_budget(value, n: int) -> int:
         if text.lower().endswith("n"):
             head = text[:-1].strip()
             try:
-                mult = float(head) if head else 1.0
-            except ValueError:
+                budget = int(round((float(head) if head else 1.0) * n))
+            except (ValueError, OverflowError):  # also nan and inf multipliers
                 raise ConfigError("budgets", f"cannot parse multiplier {value!r}")
-            budget = int(round(mult * n))
         else:
             try:
                 budget = int(text)
@@ -108,6 +77,36 @@ def parse_budget(value, n: int) -> int:
     if budget < 1:
         raise ConfigError("budgets", f"budget {value!r} resolves to {budget} < 1")
     return budget
+
+
+def _int(name, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(name, f"expected integer, got {value!r}")
+    return value
+
+
+def _num(name, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(name, f"expected number, got {value!r}")
+    return float(value)
+
+
+def _list(name, value):
+    if not isinstance(value, list):
+        raise ConfigError(name, f"expected list, got {value!r}")
+    return value
+
+
+# JSON value checks keyed by a config field's annotated type.
+_CONFIG_PARSERS = {int: _int, float: _num, list: _list, str: lambda name, v: str(v)}
+
+
+def _parse_value(name, tp, value):
+    """Check a JSON value against the field type tp (List[T] checks each entry)."""
+    if get_origin(tp) is list:
+        (item,) = get_args(tp)
+        return [_parse_value(name, item, v) for v in _list(name, value)]
+    return _CONFIG_PARSERS[tp](name, value)
 
 
 @dataclass
@@ -155,79 +154,23 @@ class ExperimentConfig:
         return [parse_budget(v, self.n) for v in self.budgets]
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "sigma_x2": self.sigma_x2,
-            "budgets": list(self.budgets),
-            "bit_grid": list(self.bit_grid),
-            "isnr_list": list(self.isnr_list),
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "algorithms": list(self.algorithms),
-            "matrix_kind": self.matrix_kind,
-            "quantizer": self.quantizer,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, list) else v for k, v in out.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("<root>", "config must be a JSON object")
-        required = [
-            "n",
-            "k",
-            "budgets",
-            "bit_grid",
-            "isnr_list",
-            "trials",
-            "master_seed",
-        ]
-        for name in required:
-            if name not in data:
-                raise ConfigError(name, "missing required field")
-        known = set(required) | {"sigma_x2", "algorithms", "matrix_kind", "quantizer"}
+        for f in fields(cls):
+            required = f.default is MISSING and f.default_factory is MISSING
+            if required and f.name not in data:
+                raise ConfigError(f.name, "missing required field")
+        known = {f.name for f in fields(cls)}
         for name in data:
             if name not in known:
                 raise ConfigError(name, "unknown field")
-
-        def _int(name, value):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(name, f"expected integer, got {value!r}")
-            return value
-
-        def _num(name, value):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(name, f"expected number, got {value!r}")
-            return float(value)
-
-        def _list(name, value):
-            if not isinstance(value, list):
-                raise ConfigError(name, f"expected list, got {value!r}")
-            return value
-
-        kwargs = {
-            "n": _int("n", data["n"]),
-            "k": _int("k", data["k"]),
-            "budgets": _list("budgets", data["budgets"]),
-            "bit_grid": [
-                _int("bit_grid", v) for v in _list("bit_grid", data["bit_grid"])
-            ],
-            "isnr_list": [
-                _num("isnr_list", v) for v in _list("isnr_list", data["isnr_list"])
-            ],
-            "trials": _int("trials", data["trials"]),
-            "master_seed": _int("master_seed", data["master_seed"]),
-        }
-        if "sigma_x2" in data:
-            kwargs["sigma_x2"] = _num("sigma_x2", data["sigma_x2"])
-        if "algorithms" in data:
-            algs = _list("algorithms", data["algorithms"])
-            kwargs["algorithms"] = [str(a) for a in algs]
-        if "matrix_kind" in data:
-            kwargs["matrix_kind"] = str(data["matrix_kind"])
-        if "quantizer" in data:
-            kwargs["quantizer"] = str(data["quantizer"])
-        return cls(**kwargs)
+        hints = get_type_hints(cls)
+        return cls(**{k: _parse_value(k, hints[k], v) for k, v in data.items()})
 
 
 def read_config(path) -> ExperimentConfig:
@@ -280,6 +223,11 @@ class AggregateRow:
     rsnr_std: float
 
 
+# CSV columns are the record fields, in declaration order.
+RESULT_COLUMNS = [f.name for f in fields(TrialResult)]
+AGGREGATE_COLUMNS = [f.name for f in fields(AggregateRow)]
+
+
 @dataclass(frozen=True)
 class SkipRecord:
     budget: int
@@ -323,9 +271,9 @@ def run_trial(
 ) -> List[TrialResult]:
     """Execute one trial of one tuple and score every applicable algorithm.
 
-    Pipeline: draw Phi and x, measure Phi x and Phi (x + n) with signal
-    noise at the requested ISNR, set the quantizer range from the
-    noiseless measurements, quantize (signs when B = 1), reconstruct.
+    Pipeline: draw Phi and x, measure Phi x, add Phi n for signal noise n
+    at the requested ISNR, set the quantizer range from the noiseless
+    measurements, quantize (signs when B = 1), reconstruct.
     1-bit estimates are rescaled to the true norm before scoring.
     """
     m = budget // bit_depth
@@ -346,7 +294,9 @@ def run_trial(
     if cfg.matrix_kind == "tight_frame":
         phi = make_tight_frame(phi)
     y_clean = measure(phi, x.values)
-    y = measure(phi, x.values, NoiseSpec(sigma_n2=sigma_n2), rng)
+    y = y_clean
+    if sigma_n2 > 0:
+        y = y_clean + measure(phi, math.sqrt(sigma_n2) * rng.standard_normal(cfg.n))
 
     one_bit = bit_depth == 1
     if one_bit:
@@ -401,13 +351,7 @@ def aggregate(rows: List[TrialResult]) -> List[AggregateRow]:
         vals = np.array([r.rsnr_db for r in members])
         out.append(
             AggregateRow(
-                n=key[0],
-                k=key[1],
-                budget=key[2],
-                bit_depth=key[3],
-                m=key[4],
-                isnr_db=key[5],
-                algorithm=key[6],
+                *key,
                 trials=len(members),
                 rsnr_mean=float(np.mean(vals)),
                 rsnr_median=float(np.median(vals)),
@@ -417,9 +361,7 @@ def aggregate(rows: List[TrialResult]) -> List[AggregateRow]:
     return out
 
 
-def _worker_count(max_workers: Optional[int]) -> int:
-    if max_workers is not None:
-        return max(1, max_workers)
+def _worker_count() -> int:
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
         try:
@@ -431,21 +373,18 @@ def _worker_count(max_workers: Optional[int]) -> int:
     return os.cpu_count() or 1
 
 
-def run_sweep(
-    cfg: ExperimentConfig,
-    record_timing: bool = False,
-    max_workers: Optional[int] = None,
-) -> ResultTable:
+def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable:
     """Run every (budget, bit depth, ISNR) tuple over all trials.
 
     Tuples that cannot be executed (m < 1, m < k, m > n for a tight
     frame, or no applicable algorithm) are skipped with a recorded
     reason; a failing trial is recorded and does not abort the sweep.
-    Output ordering is tuple-major then trial-major and independent of
-    the worker count. Wall times are recorded only with record_timing,
-    keeping default output bytes reproducible run to run.
+    Trials run on a thread pool of QCSLAB_THREADS workers (default: the
+    CPU count). Output ordering is tuple-major then trial-major and
+    independent of the worker count. Wall times are recorded only with
+    record_timing, keeping default output bytes reproducible run to run.
     """
-    tuples = []
+    tasks = []
     skips: List[SkipRecord] = []
     for budget in cfg.resolved_budgets():
         for bit_depth in cfg.bit_grid:
@@ -454,51 +393,23 @@ def run_sweep(
                 if reason:
                     skips.append(SkipRecord(budget, bit_depth, isnr, reason))
                 else:
-                    tuples.append((budget, bit_depth, isnr))
+                    tup = (budget, bit_depth, isnr)
+                    tasks.extend((tup, trial) for trial in range(cfg.trials))
 
-    tasks = [
-        (ti, trial)
-        for ti in range(len(tuples))
-        for trial in range(cfg.trials)
-    ]
-
-    def _run(task):
-        ti, trial = task
-        budget, bit_depth, isnr = tuples[ti]
-        return run_trial(cfg, budget, bit_depth, isnr, trial, record_timing)
-
-    results: Dict[tuple, List[TrialResult]] = {}
-    failures: Dict[tuple, str] = {}
-    workers = _worker_count(max_workers)
-    if workers <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            try:
-                results[task] = _run(task)
-            except (QcsLabError, np.linalg.LinAlgError) as exc:
-                failures[task] = str(exc)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {task: pool.submit(_run, task) for task in tasks}
-        for task, fut in futures.items():
-            try:
-                results[task] = fut.result()
-            except (QcsLabError, np.linalg.LinAlgError) as exc:
-                failures[task] = str(exc)
+    def _attempt(task):
+        (budget, bit_depth, isnr), trial = task
+        try:
+            return run_trial(cfg, budget, bit_depth, isnr, trial, record_timing)
+        except (QcsLabError, np.linalg.LinAlgError) as exc:
+            return f"trial {trial} failed: {exc}"
 
     rows: List[TrialResult] = []
-    for task in tasks:
-        if task in results:
-            rows.extend(results[task])
-        elif task in failures:
-            budget, bit_depth, isnr = tuples[task[0]]
-            skips.append(
-                SkipRecord(
-                    budget,
-                    bit_depth,
-                    isnr,
-                    f"trial {task[1]} failed: {failures[task]}",
-                )
-            )
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+        for (tup, _), outcome in zip(tasks, pool.map(_attempt, tasks)):
+            if isinstance(outcome, str):
+                skips.append(SkipRecord(*tup, outcome))
+            else:
+                rows.extend(outcome)
 
     aggregates = aggregate(rows) if rows else []
     return ResultTable(rows=rows, aggregates=aggregates, skips=skips)
@@ -527,7 +438,6 @@ def regime_map(
     cfg: ExperimentConfig,
     budget,
     table: Optional[ResultTable] = None,
-    max_workers: Optional[int] = None,
 ) -> Tuple[List[RegimePoint], ResultTable]:
     """Pick the RSNR-maximizing (M, B) pair per ISNR at a fixed budget.
 
@@ -538,7 +448,7 @@ def regime_map(
     resolved = parse_budget(budget, cfg.n)
     if table is None:
         sub = replace(cfg, budgets=[resolved])
-        table = run_sweep(sub, max_workers=max_workers)
+        table = run_sweep(sub)
     points = []
     for isnr in cfg.isnr_list:
         best = None
@@ -578,52 +488,21 @@ def _cell(value) -> str:
     return str(value)
 
 
-def results_to_csv(table: ResultTable) -> str:
+def _to_csv(records, cls) -> str:
+    columns = [f.name for f in fields(cls)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RESULT_COLUMNS)
-    for r in table.rows:
-        writer.writerow(
-            [
-                r.n,
-                r.k,
-                r.budget,
-                r.bit_depth,
-                r.m,
-                _cell(r.isnr_db),
-                r.algorithm,
-                r.trial,
-                _cell(r.rsnr_db),
-                _cell(r.recon_mse),
-                _cell(r.hamming),
-                _cell(r.wall_time_ms),
-                r.seed,
-            ]
-        )
+    writer.writerow(columns)
+    writer.writerows([_cell(getattr(r, c)) for c in columns] for r in records)
     return buf.getvalue()
+
+
+def results_to_csv(table: ResultTable) -> str:
+    return _to_csv(table.rows, TrialResult)
 
 
 def aggregates_to_csv(table: ResultTable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(AGGREGATE_COLUMNS)
-    for a in table.aggregates:
-        writer.writerow(
-            [
-                a.n,
-                a.k,
-                a.budget,
-                a.bit_depth,
-                a.m,
-                _cell(a.isnr_db),
-                a.algorithm,
-                a.trials,
-                _cell(a.rsnr_mean),
-                _cell(a.rsnr_median),
-                _cell(a.rsnr_std),
-            ]
-        )
-    return buf.getvalue()
+    return _to_csv(table.aggregates, AggregateRow)
 
 
 def write_results(table: ResultTable, path) -> None:
@@ -635,30 +514,39 @@ def write_aggregates(table: ResultTable, path) -> None:
     Path(path).write_text(aggregates_to_csv(table), encoding="utf-8")
 
 
+# CSV cell parsers keyed by a record field's annotated type; _cell writes
+# None as an empty cell.
+_CELL_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    Optional[float]: lambda text: float(text) if text else None,
+}
+
+
 def read_results(path) -> List[TrialResult]:
     """Parse a results CSV back into trial rows (inverse of write_results)."""
+    hints = get_type_hints(TrialResult)
+    parsers = [_CELL_PARSERS[hints[c]] for c in RESULT_COLUMNS]
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header != RESULT_COLUMNS:
             raise InvalidParameterError(f"unexpected results header: {header}")
         for rec in reader:
-            rows.append(
-                TrialResult(
-                    n=int(rec[0]),
-                    k=int(rec[1]),
-                    budget=int(rec[2]),
-                    bit_depth=int(rec[3]),
-                    m=int(rec[4]),
-                    isnr_db=float(rec[5]),
-                    algorithm=rec[6],
-                    trial=int(rec[7]),
-                    rsnr_db=float(rec[8]),
-                    recon_mse=float(rec[9]),
-                    hamming=float(rec[10]) if rec[10] else None,
-                    wall_time_ms=float(rec[11]),
-                    seed=int(rec[12]),
+            where = f"{path}: line {reader.line_num}"
+            if len(rec) != len(RESULT_COLUMNS):
+                raise InvalidParameterError(
+                    f"{where}: expected {len(RESULT_COLUMNS)} cells, got {len(rec)}"
                 )
-            )
+            cells = []
+            for column, parse, text in zip(RESULT_COLUMNS, parsers, rec):
+                try:
+                    cells.append(parse(text))
+                except ValueError:
+                    raise InvalidParameterError(
+                        f"{where}: cannot parse {column} {text!r}"
+                    ) from None
+            rows.append(TrialResult(*cells))
     return rows

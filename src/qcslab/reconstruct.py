@@ -42,15 +42,14 @@ class SolverOptions:
     """
 
     max_iter: Optional[int] = None
-    step_tau: float = 1.0
     tol: float = 1e-6
     k: Optional[int] = None
 
     def __post_init__(self):
         if self.max_iter is not None and self.max_iter < 1:
             raise InvalidParameterError("max_iter must be >= 1")
-        if self.step_tau <= 0 or self.tol <= 0:
-            raise InvalidParameterError("step_tau and tol must be positive")
+        if self.tol <= 0:
+            raise InvalidParameterError("tol must be positive")
         if self.k is not None and self.k < 1:
             raise InvalidParameterError("k must be >= 1")
 
@@ -63,7 +62,6 @@ class ReconResult:
     iterations: int
     converged: bool
     consistency_hamming: Optional[float] = None
-    zero_estimate: bool = False
 
 
 def oracle_ls(phi: SensingMatrix, y: np.ndarray, support) -> np.ndarray:
@@ -224,7 +222,7 @@ def biht(
 ) -> ReconResult:
     """Binary iterative hard thresholding on sign measurements.
 
-    Runs projected (sub)gradient steps x <- H_k(x - tau * g) on the
+    Runs projected (sub)gradient steps x <- H_k(x - g) on the
     one-sided sign-consistency objective, keeping iterates unit-norm.
     Returns the iterate with the lowest sign-disagreement fraction seen,
     which is never worse than the starting proxy; stops early once the
@@ -241,7 +239,6 @@ def biht(
         raise InvalidParameterError("y_sign entries must be +-1")
     a = phi.entries
     max_iter = opts.max_iter if opts.max_iter is not None else 100
-    tau = opts.step_tau
 
     x = hard_threshold(a.T @ y_sign, opts.k)
     nx = np.linalg.norm(x)
@@ -251,7 +248,6 @@ def biht(
             iterations=0,
             converged=False,
             consistency_hamming=1.0,
-            zero_estimate=True,
         )
     x = x / nx
 
@@ -272,7 +268,7 @@ def biht(
             g = a.T @ (y_sign * np.sign(r_neg))
         else:
             g = a.T @ (y_sign * r_neg)
-        x_next = hard_threshold(x - tau * g, opts.k)
+        x_next = hard_threshold(x - g, opts.k)
         if not np.any(x_next):
             if not np.any(g):
                 return ReconResult(
@@ -280,10 +276,9 @@ def biht(
                     iterations=it,
                     converged=False,
                     consistency_hamming=best_ham,
-                    zero_estimate=True,
                 )
             # Thresholded to zero with a live gradient: restart from the step.
-            x_next = hard_threshold(-tau * g, opts.k)
+            x_next = hard_threshold(-g, opts.k)
         x = x_next
 
     nb = np.linalg.norm(best_x)

@@ -1,8 +1,7 @@
 """Sparse signals, sensing matrices, and the noisy measurement model.
 
-The acquisition chain is y = Phi (x + n) + e with a K-sparse signal x,
-white signal noise n of per-entry variance sigma_n2, and optional
-measurement noise e (zero in all stock experiments).
+The acquisition chain is y = Phi (x + n) with a K-sparse signal x and
+white signal noise n of per-entry variance sigma_n2.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -73,18 +71,6 @@ class SensingMatrix:
             )
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Per-entry variances of signal noise and measurement noise."""
-
-    sigma_n2: float = 0.0
-    sigma_e2: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma_n2 < 0 or self.sigma_e2 < 0:
-            raise InvalidParameterError("noise variances must be nonnegative")
 
 
 def gen_sparse_signal(
@@ -152,30 +138,14 @@ def make_tight_frame(phi: SensingMatrix) -> SensingMatrix:
     return SensingMatrix(rows=m, cols=n, entries=entries, kind=MatrixKind.TIGHT_FRAME)
 
 
-def measure(
-    phi: SensingMatrix,
-    x: np.ndarray,
-    noise: NoiseSpec = NoiseSpec(),
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Acquire Phi (x + n) + e with freshly sampled white Gaussian noise.
-
-    With both variances zero the result is exactly the matrix-vector
-    product (no noise is drawn at all).
-    """
+def measure(phi: SensingMatrix, x: np.ndarray) -> np.ndarray:
+    """Measurements Phi x; noisy ones are measure(phi, x) + measure(phi, n)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (phi.cols,):
         raise DimensionMismatchError(
             f"signal length {x.shape} != matrix cols {phi.cols}"
         )
-    if (noise.sigma_n2 > 0 or noise.sigma_e2 > 0) and rng is None:
-        raise InvalidParameterError("rng is required when noise variance > 0")
-    y = phi.entries @ x
-    if noise.sigma_n2 > 0:
-        y = y + phi.entries @ (math.sqrt(noise.sigma_n2) * rng.standard_normal(phi.cols))
-    if noise.sigma_e2 > 0:
-        y = y + math.sqrt(noise.sigma_e2) * rng.standard_normal(phi.rows)
-    return y
+    return phi.entries @ x
 
 
 def noise_fold_variance(n: int, m: int, sigma_n2: float) -> float:

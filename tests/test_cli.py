@@ -70,6 +70,24 @@ class TestBoundCurveCmd:
         assert main(["bound-curve", "--isnr", "abc"]) == 1
         assert main(["no-such-command"]) == 1
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--n", "0"),
+            ("--k", "0"),
+            ("--k", "2000"),
+            ("--sigma-x2", "0"),
+            ("--bits", "1..5"),
+            ("--delta", "1.5"),
+            ("--budget", "1"),
+            ("--budget", "nanN"),
+        ],
+    )
+    def test_out_of_domain_flag_exits_1_naming_it(self, flag, value, tmp_path, capsys):
+        assert main(["bound-curve", flag, value, "--out", str(tmp_path)]) == 1
+        assert f"error: {flag}:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestSweepCmd:
     def test_end_to_end(self, tmp_path):

@@ -1,5 +1,11 @@
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qcslab as q
 from qcslab.cli import main
@@ -40,6 +46,9 @@ class TestBudgetParsing:
             q.parse_budget("0N", 1000)
         with pytest.raises(q.ConfigError):
             q.parse_budget(None, 1000)
+        for text in ("infN", "nanN", "1e400N"):
+            with pytest.raises(q.ConfigError, match="multiplier"):
+                q.parse_budget(text, 1000)
 
 
 class TestConfig:
@@ -156,10 +165,12 @@ class TestRunSweep:
         # Skipped tuples still make the sweep a partial failure.
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
 
-    def test_deterministic_across_runs_and_workers(self):
+    def test_deterministic_across_runs_and_workers(self, monkeypatch):
         cfg = tiny_config()
-        t1 = q.run_sweep(cfg, max_workers=1)
-        t2 = q.run_sweep(cfg, max_workers=3)
+        monkeypatch.setenv("QCSLAB_THREADS", "1")
+        t1 = q.run_sweep(cfg)
+        monkeypatch.setenv("QCSLAB_THREADS", "3")
+        t2 = q.run_sweep(cfg)
         assert results_to_csv(t1) == results_to_csv(t2)
         assert aggregates_to_csv(t1) == aggregates_to_csv(t2)
 
@@ -219,11 +230,71 @@ class TestCsvIo:
             "trial", "rsnr_db", "recon_mse", "hamming", "wall_time_ms", "seed",
         ]
 
+    def test_truncated_row_rejected_with_line_number(self, tmp_path):
+        table = q.run_sweep(tiny_config(algorithms=["oracle_ls"], bit_grid=[4]))
+        path = tmp_path / "r.csv"
+        q.write_results(table, path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(q.InvalidParameterError, match="line 3: expected 13 cells, got 12"):
+            q.read_results(path)
+
+    def test_unparseable_cell_rejected_with_line_number(self, tmp_path):
+        table = q.run_sweep(tiny_config(algorithms=["oracle_ls"], bit_grid=[4]))
+        path = tmp_path / "r.csv"
+        q.write_results(table, path)
+        lines = path.read_text().splitlines()
+        lines[3] = "sixty-four" + lines[3][lines[3].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(q.InvalidParameterError, match="line 4: cannot parse n 'sixty-four'"):
+            q.read_results(path)
+
     def test_hamming_blank_for_multibit(self, tmp_path):
         table = q.run_sweep(tiny_config(algorithms=["oracle_ls"], bit_grid=[4]))
         q.write_results(table, tmp_path / "r.csv")
         data_line = (tmp_path / "r.csv").read_text().splitlines()[1]
         assert ",," in data_line  # empty hamming cell
+
+
+_finite_or_inf = st.floats(allow_nan=False)
+_trial_results = st.builds(
+    q.TrialResult,
+    n=st.integers(1, 10**6),
+    k=st.integers(1, 10**3),
+    budget=st.integers(1, 10**7),
+    bit_depth=st.integers(1, 32),
+    m=st.integers(1, 10**7),
+    isnr_db=_finite_or_inf,
+    algorithm=st.sampled_from(q.harness.ALGORITHMS),
+    trial=st.integers(0, 10**4),
+    rsnr_db=_finite_or_inf,
+    recon_mse=st.floats(min_value=0.0, allow_nan=False),
+    hamming=st.none() | st.floats(0.0, 1.0),
+    wall_time_ms=st.floats(min_value=0.0, allow_nan=False),
+    seed=st.integers(0, 2**64 - 1),
+)
+
+
+def _edge_row(**overrides):
+    base = dict(
+        n=64, k=2, budget=128, bit_depth=4, m=32, isnr_db=10.0, algorithm="bpdn",
+        trial=0, rsnr_db=12.5, recon_mse=0.1, hamming=None, wall_time_ms=0.0, seed=1,
+    )
+    base.update(overrides)
+    return q.TrialResult(**base)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_trial_results, max_size=5))
+@example([_edge_row(hamming=None), _edge_row(hamming=0.0, bit_depth=1)])
+@example([_edge_row(isnr_db=math.inf), _edge_row(isnr_db=-math.inf)])
+@example([_edge_row(rsnr_db=-3.25), _edge_row(rsnr_db=-1e-300, recon_mse=1e300)])
+def test_results_csv_round_trip(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "results.csv"
+        q.write_results(q.ResultTable(rows=rows, aggregates=[]), path)
+        assert q.read_results(path) == rows
 
 
 class TestRegimeMap:

@@ -142,7 +142,7 @@ class TestMeasure:
         rng = np.random.default_rng(12)
         tf = q.make_tight_frame(q.gen_gaussian_matrix(250, 1000, rng))
         samples = np.concatenate(
-            [q.measure(tf, np.zeros(1000), q.NoiseSpec(sigma_n2=1.0), rng) for _ in range(60)]
+            [q.measure(tf, rng.standard_normal(1000)) for _ in range(60)]
         )
         assert samples.size >= 10_000
         assert abs(float(np.var(samples)) - 4.0) <= 0.2
@@ -151,11 +151,6 @@ class TestMeasure:
         phi = q.gen_gaussian_matrix(10, 30, np.random.default_rng(0))
         with pytest.raises(q.DimensionMismatchError):
             q.measure(phi, np.zeros(29))
-
-    def test_rng_required_with_noise(self):
-        phi = q.gen_gaussian_matrix(10, 30, np.random.default_rng(0))
-        with pytest.raises(q.InvalidParameterError):
-            q.measure(phi, np.zeros(30), q.NoiseSpec(sigma_n2=1.0))
 
 
 class TestNoiseFold:
