@@ -367,9 +367,7 @@ def _worker_count() -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            raise InvalidParameterError(
-                f"{THREADS_ENV_VAR} must be an integer, got {env!r}"
-            )
+            raise ConfigError(THREADS_ENV_VAR, f"expected integer, got {env!r}")
     return os.cpu_count() or 1
 
 

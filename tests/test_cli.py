@@ -140,6 +140,12 @@ class TestSweepCmd:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "trials" in capsys.readouterr().err
 
+    def test_bad_thread_env_var_exits_1(self, tmp_path, monkeypatch, capsys):
+        cfg = write_tiny_config(tmp_path / "cfg.json")
+        monkeypatch.setenv("QCSLAB_THREADS", "soup")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "QCSLAB_THREADS" in capsys.readouterr().err
+
     def test_flag_conflicts_exit_1(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")
         assert main(["sweep", "--config", str(cfg), "--preset", "ci"]) == 1

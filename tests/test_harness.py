@@ -176,7 +176,7 @@ class TestRunSweep:
 
     def test_thread_env_var_validated(self, monkeypatch):
         monkeypatch.setenv("QCSLAB_THREADS", "soup")
-        with pytest.raises(q.InvalidParameterError):
+        with pytest.raises(q.ConfigError):
             q.run_sweep(tiny_config())
 
 

@@ -107,6 +107,50 @@ class TestBpdn:
             # The true signal is feasible here, so it bounds the optimum.
             assert np.abs(res.estimate).sum() <= np.abs(x.values).sum() * (1 + 1e-3)
 
+    @pytest.mark.parametrize("m", [128, 192])
+    def test_square_and_tall_feasibility_and_l1(self, m):
+        # m = n and m = 1.5 n: the polish takes its m <= n and m > n paths.
+        for seed in range(3):
+            x, phi, y = _instance(128, 4, m, 60 + seed)
+            y_q = q.uniform_quantize(y, q.dynamic_range(y), 3)
+            eps = float(np.linalg.norm(y - y_q))
+            res = q.bpdn(phi, y_q, eps)
+            assert res.converged
+            resid = float(np.linalg.norm(y_q - phi.entries @ res.estimate))
+            assert resid <= eps * (1 + 1e-6) + 1e-12
+            # The true signal is feasible here, so it bounds the optimum.
+            assert np.abs(res.estimate).sum() <= np.abs(x.values).sum() * (1 + 1e-3)
+
+    @pytest.mark.parametrize("m", [30, 60])
+    def test_rank_deficient_matrix_polished(self, m):
+        # A zero row and a zero column make both Gram matrices singular.
+        x, phi, _ = _instance(40, 2, m, 90)
+        entries = phi.entries.copy()
+        entries[3, :] = 0.0
+        entries[:, 5] = 0.0
+        phi = q.SensingMatrix(m, 40, entries, MatrixKind.IID_GAUSSIAN)
+        y = entries @ x.values
+        y_q = q.uniform_quantize(y, q.dynamic_range(y), 3)
+        eps = float(np.linalg.norm(y - y_q))
+        res = q.bpdn(phi, y_q, eps)
+        assert res.converged
+        assert float(np.linalg.norm(y_q - entries @ res.estimate)) <= eps * (1 + 1e-6) + 1e-12
+
+    def test_iteration_cap_reported(self):
+        _, phi, y = _instance(256, 4, 100, 70)
+        y_q = q.uniform_quantize(y, q.dynamic_range(y), 4)
+        res = q.bpdn(phi, y_q, float(np.linalg.norm(y - y_q)), q.SolverOptions(max_iter=10))
+        assert not res.converged
+        assert res.iterations == 10
+
+    def test_no_floating_point_warnings(self):
+        for m, eps_scale in ((100, 0.0), (100, 1.0), (384, 1.0)):
+            _, phi, y = _instance(256, 4, m, 80)
+            y_q = q.uniform_quantize(y, q.dynamic_range(y), 4)
+            eps = eps_scale * float(np.linalg.norm(y - y_q))
+            with np.errstate(all="raise"):
+                q.bpdn(phi, y_q, eps)
+
     def test_debias_recovers_exactly(self):
         x, phi, y = _instance(256, 4, 100, 30)
         rough = q.bpdn(phi, y, 1e-6)
