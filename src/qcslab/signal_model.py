@@ -117,7 +117,8 @@ def gen_gaussian_matrix(m: int, n: int, rng: np.random.Generator) -> SensingMatr
     """I.i.d. Gaussian sensing matrix with per-entry variance 1/m."""
     if m < 1 or n < 1:
         raise InvalidParameterError("matrix dimensions must be >= 1")
-    entries = rng.standard_normal((m, n)) / math.sqrt(m)
+    entries = rng.standard_normal((m, n))
+    entries /= math.sqrt(m)
     return SensingMatrix(rows=m, cols=n, entries=entries, kind=MatrixKind.IID_GAUSSIAN)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qcslab as q
-from qcslab.reconstruct import BihtVariant
+from qcslab.reconstruct import _GATHER_ROWS_SHARE, BihtVariant
 from qcslab.signal_model import MatrixKind
 
 
@@ -14,6 +14,49 @@ def _instance(n, k, m, seed, sigma_n2=0.0):
     if sigma_n2 > 0:
         y = y + phi.entries @ (np.sqrt(sigma_n2) * rng.standard_normal(n))
     return x, phi, y
+
+
+def _biht_dense(phi, y_sign, variant, k, max_iter=100):
+    """BIHT as a dense loop: two full products with Phi per iteration.
+
+    The reference for q.biht, which gathers columns and rows. Also
+    returns the share of sign-disagreeing rows at each gradient step and
+    the number of restarts from -g.
+    """
+    a = phi.entries
+    x = q.hard_threshold(a.T @ y_sign, k)
+    x = x / np.linalg.norm(x)
+    best_x, best_ham, shares, restarts = x.copy(), np.inf, [], 0
+    it = 0
+    for it in range(1, max_iter + 1):
+        ax = a @ x
+        ham = float(np.mean(q.sign_quantize(ax) != y_sign))
+        if ham < best_ham:
+            best_ham, best_x = ham, x.copy()
+        if ham == 0.0:
+            break
+        shares.append(ham)
+        r_neg = np.minimum(y_sign * ax, 0.0)
+        if variant is BihtVariant.ONE_SIDED_L1:
+            g = a.T @ (y_sign * np.sign(r_neg))
+        else:
+            g = a.T @ (y_sign * r_neg)
+        x_next = q.hard_threshold(x - g, k)
+        if not np.any(x_next):
+            if not np.any(g):
+                return q.ReconResult(np.zeros(phi.cols), it, False, best_ham), shares, restarts
+            restarts += 1
+            x_next = q.hard_threshold(-g, k)
+        x = x_next
+    res = q.ReconResult(best_x / np.linalg.norm(best_x), it, best_ham == 0.0, best_ham)
+    return res, shares, restarts
+
+
+def _assert_matches_dense(res, ref):
+    assert res.iterations == ref.iterations
+    assert res.converged == ref.converged
+    assert res.consistency_hamming == ref.consistency_hamming
+    assert np.max(np.abs(res.estimate - ref.estimate)) <= 1e-12
 
 
 class TestHardThreshold:
@@ -206,6 +249,51 @@ class TestBiht:
             gains_l1.append(q.rsnr_db(x.values, r1.estimate, rescale_1bit=True))
             gains_l2.append(q.rsnr_db(x.values, r2.estimate, rescale_1bit=True))
         assert np.mean(gains_l2) >= np.mean(gains_l1)
+
+    def test_matches_dense_reference(self):
+        # Both variants, m < n and m > n, ISNR 35 and 5 dB: the share of
+        # sign-disagreeing rows falls on both sides of the row-gather bound.
+        shares = []
+        for variant in BihtVariant:
+            for m in (160, 640):
+                for isnr in (35.0, 5.0):
+                    _, phi, y = _instance(
+                        256, 4, m, 70 + m, q.sigma_n_for_isnr(4, 1.0, 256, isnr)
+                    )
+                    y_s = q.sign_quantize(y)
+                    res = q.biht(phi, y_s, variant, q.SolverOptions(k=4))
+                    ref, ref_shares, _ = _biht_dense(phi, y_s, variant, 4)
+                    _assert_matches_dense(res, ref)
+                    shares += ref_shares
+        assert min(shares) <= _GATHER_ROWS_SHARE < max(shares)
+
+    @pytest.mark.parametrize("variant", list(BihtVariant))
+    def test_dense_iterate_matches_reference(self, variant):
+        # k = n runs the full forward product. At m = 96 rather than 256 the
+        # l2 variant parks disagreeing measurements at |Phi x| ~ 1e-17,
+        # whose signs, and so the Hamming count, follow the summation order.
+        _, phi, y = _instance(64, 64, 256, 11, sigma_n2=0.1)
+        y_s = q.sign_quantize(y)
+        res = q.biht(phi, y_s, variant, q.SolverOptions(k=64))
+        ref, _, _ = _biht_dense(phi, y_s, variant, 64)
+        _assert_matches_dense(res, ref)
+
+    @pytest.mark.parametrize("variant", list(BihtVariant))
+    def test_restart_from_negative_gradient(self, variant):
+        # Phi = [1, 2, 0, ..., 0]^T and y = [+1, -1, +1, ...]: the proxy is
+        # x = -1, only row 0 disagrees, and its gradient g = -1 equals x, so
+        # H_1(x - g) = 0 and BIHT restarts from -g; signs never all match.
+        entries = np.zeros((16, 1))
+        entries[:2, 0] = [1.0, 2.0]
+        phi = q.SensingMatrix(16, 1, entries, MatrixKind.IID_GAUSSIAN)
+        y_s = np.ones(16)
+        y_s[1] = -1.0
+        res = q.biht(phi, y_s, variant, q.SolverOptions(k=1))
+        ref, _, restarts = _biht_dense(phi, y_s, variant, 1)
+        assert restarts > 0
+        assert res.iterations == 100 and not res.converged
+        assert res.consistency_hamming == 1 / 16
+        _assert_matches_dense(res, ref)
 
     def test_input_validation(self):
         _, phi, y = _instance(64, 2, 128, 0)

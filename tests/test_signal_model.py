@@ -78,6 +78,12 @@ class TestGaussianMatrix:
         wide = q.gen_gaussian_matrix(2000, 1000, np.random.default_rng(0))
         assert wide.rows == 2000 and wide.cols == 1000
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (7, 3), (300, 1000)])
+    def test_entries_are_scaled_standard_normals(self, m, n):
+        phi = q.gen_gaussian_matrix(m, n, np.random.default_rng(42))
+        draw = np.random.default_rng(42).standard_normal((m, n)) / np.sqrt(m)
+        assert np.array_equal(phi.entries, draw)
+
 
 class TestTightFrame:
     def test_gram_identity(self):
