@@ -258,18 +258,14 @@ def _sign_mismatch(ax: np.ndarray, y_sign: np.ndarray) -> np.ndarray:
     return sign_quantize(ax) != y_sign
 
 
-# Largest share of Phi's columns (the iterate's support) and of its rows
-# (the sign-disagreeing ones) that biht gathers into a copy before the
-# product; above it the product runs on the full Phi. Measured at m=7000,
-# n=1000, one BLAS thread. Gathered columns are strided reads:
-# Phi[:, s] @ x[s] took 0.63, 1.3, 2.1, 3.9 and 5.8 ms at 1, 2, 3, 4 and
-# 6% of the columns, against 4.7 ms for Phi @ x. Gathered rows are
-# contiguous: u[r] @ Phi[r] took 0.13, 0.42, 0.79, 1.04, 1.69, 2.35 and
-# 3.41 ms at 2, 5, 10, 12.5, 20, 25 and 30% of the rows, against 3.7-4.0 ms
-# for Phi^T u. The row bound stays at 1/8, not 1/4, for memory: the copy is
-# at most m/8 rows (7 MB here), and with two sweep workers a 1/4 bound
-# raised the peak RSS of the 1-bit fig3 slice above the dense loop's.
-_GATHER_COLS_SHARE = 1 / 32
+# Largest share of Phi's rows, the sign-disagreeing ones, that biht
+# gathers into a copy for the gradient; above it the gradient runs on the
+# full Phi. Measured at m=7000, n=1000, one BLAS thread: u[r] @ Phi[r]
+# took 0.13, 0.42, 0.79, 1.04, 1.69, 2.35 and 3.41 ms at 2, 5, 10, 12.5,
+# 20, 25 and 30% of the rows, against 3.7-4.0 ms for Phi^T u. The bound
+# stays at 1/8, not 1/4, for memory: the copy is at most m/8 rows (7 MB
+# here), and with two sweep workers a 1/4 bound raised the peak RSS of
+# the 1-bit fig3 slice above the dense loop's.
 _GATHER_ROWS_SHARE = 1 / 8
 
 
@@ -282,16 +278,17 @@ def biht(
     """Binary iterative hard thresholding on sign measurements.
 
     Runs projected (sub)gradient steps x <- H_k(x - g) on the
-    one-sided sign-consistency objective, keeping iterates unit-norm.
-    Returns the iterate with the lowest sign-disagreement fraction seen,
-    which is never worse than the starting proxy; stops early once the
-    signs match exactly. The scale of the signal is unrecoverable, so the
+    one-sided sign-consistency objective from the unit-norm proxy
+    H_k(Phi^T y); later iterates are not renormalized. Returns the
+    iterate with the lowest sign-disagreement fraction seen, which is
+    never worse than the starting proxy; stops early once the signs match
+    exactly. The scale of the signal is unrecoverable, so the
     estimate is reported with unit l2 norm.
 
     Each product touches only what can be nonzero: Phi x reads the
     columns on the support of x, and the gradient Phi^T u, which vanishes
-    off the sign-disagreeing rows, reads only those rows, each while the
-    share is at most _GATHER_COLS_SHARE or _GATHER_ROWS_SHARE.
+    off the sign-disagreeing rows, reads only those rows while they are at
+    most _GATHER_ROWS_SHARE of them.
     """
     opts = opts or SolverOptions()
     if opts.k is None:
@@ -318,10 +315,10 @@ def biht(
     best_x = x.copy()
     best_ham = math.inf
     it = 0
-    m, n = a.shape
+    m = phi.rows
     for it in range(1, max_iter + 1):
         cols = np.flatnonzero(x)
-        ax = a[:, cols] @ x[cols] if cols.size <= _GATHER_COLS_SHARE * n else a @ x
+        ax = a[:, cols] @ x[cols]
         bad = _sign_mismatch(ax, y_sign)
         ham = float(np.mean(bad))
         if ham < best_ham:

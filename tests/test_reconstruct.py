@@ -19,40 +19,72 @@ def _instance(n, k, m, seed, sigma_n2=0.0):
 def _biht_dense(phi, y_sign, variant, k, max_iter=100):
     """BIHT as a dense loop: two full products with Phi per iteration.
 
-    The reference for q.biht, which gathers columns and rows. Also
-    returns the share of sign-disagreeing rows at each gradient step and
-    the number of restarts from -g.
+    The reference for q.biht, which gathers columns and rows and so sums
+    in another order. Also returns a trace of the path: the share of
+    sign-disagreeing rows at each gradient step, the number of restarts
+    from -g, and how close the path comes to a tie that rounding could
+    break. "margin" is the least |Phi x| over rows of Phi that are not all
+    zero, relative to max |Phi x|; "gap" is the least gap between the k-th
+    and (k+1)-th largest magnitude at a thresholding, relative to the
+    largest (inf when k = n). "ham_lo" and "ham_hi" count, per iteration,
+    the disagreeing rows with |Phi x| above _NEAR_ZERO (relative), and
+    those plus the rows below it, whose sign follows the summation order.
     """
     a = phi.entries
-    x = q.hard_threshold(a.T @ y_sign, k)
+    live = np.any(a != 0.0, axis=1)
+    trace = {"shares": [], "restarts": 0, "margin": np.inf, "gap": np.inf,
+             "ham_lo": [], "ham_hi": []}
+
+    def threshold(v):
+        if k < v.size:
+            mags = np.sort(np.abs(v))[::-1]
+            trace["gap"] = min(trace["gap"], (mags[k - 1] - mags[k]) / mags[0])
+        return q.hard_threshold(v, k)
+
+    x = threshold(a.T @ y_sign)
     x = x / np.linalg.norm(x)
-    best_x, best_ham, shares, restarts = x.copy(), np.inf, [], 0
+    best_x, best_ham = x.copy(), np.inf
     it = 0
     for it in range(1, max_iter + 1):
         ax = a @ x
-        ham = float(np.mean(q.sign_quantize(ax) != y_sign))
+        mags = np.abs(ax)
+        trace["margin"] = min(trace["margin"], np.min(mags[live]) / np.max(mags))
+        near = mags <= _NEAR_ZERO * np.max(mags)
+        bad = q.sign_quantize(ax) != y_sign
+        trace["ham_lo"].append(int(np.sum(bad & ~near)))
+        trace["ham_hi"].append(int(np.sum(bad | near)))
+        ham = float(np.mean(bad))
         if ham < best_ham:
             best_ham, best_x = ham, x.copy()
         if ham == 0.0:
             break
-        shares.append(ham)
+        trace["shares"].append(ham)
         r_neg = np.minimum(y_sign * ax, 0.0)
         if variant is BihtVariant.ONE_SIDED_L1:
             g = a.T @ (y_sign * np.sign(r_neg))
         else:
             g = a.T @ (y_sign * r_neg)
-        x_next = q.hard_threshold(x - g, k)
+        x_next = threshold(x - g)
         if not np.any(x_next):
             if not np.any(g):
-                return q.ReconResult(np.zeros(phi.cols), it, False, best_ham), shares, restarts
-            restarts += 1
-            x_next = q.hard_threshold(-g, k)
+                return q.ReconResult(np.zeros(phi.cols), it, False, best_ham), trace
+            trace["restarts"] += 1
+            x_next = threshold(-g)
         x = x_next
     res = q.ReconResult(best_x / np.linalg.norm(best_x), it, best_ham == 0.0, best_ham)
-    return res, shares, restarts
+    return res, trace
 
 
-def _assert_matches_dense(res, ref):
+# |Phi x| below this share of max |Phi x| is treated as a tie: the two
+# loops round it differently, so its sign may differ between them.
+_NEAR_ZERO = 1e-10
+
+
+def _assert_matches_dense(res, ref, trace):
+    # Equal counts are owed only on paths that keep clear of ties; the
+    # margins here are far above what rounding can move.
+    assert trace["margin"] > 100 * _NEAR_ZERO
+    assert trace["gap"] > 100 * _NEAR_ZERO
     assert res.iterations == ref.iterations
     assert res.converged == ref.converged
     assert res.consistency_hamming == ref.consistency_hamming
@@ -262,38 +294,75 @@ class TestBiht:
                     )
                     y_s = q.sign_quantize(y)
                     res = q.biht(phi, y_s, variant, q.SolverOptions(k=4))
-                    ref, ref_shares, _ = _biht_dense(phi, y_s, variant, 4)
-                    _assert_matches_dense(res, ref)
-                    shares += ref_shares
+                    ref, trace = _biht_dense(phi, y_s, variant, 4)
+                    _assert_matches_dense(res, ref, trace)
+                    shares += trace["shares"]
         assert min(shares) <= _GATHER_ROWS_SHARE < max(shares)
 
     @pytest.mark.parametrize("variant", list(BihtVariant))
     def test_dense_iterate_matches_reference(self, variant):
-        # k = n runs the full forward product. At m = 96 rather than 256 the
-        # l2 variant parks disagreeing measurements at |Phi x| ~ 1e-17,
-        # whose signs, and so the Hamming count, follow the summation order.
+        # k = n: the forward product gathers every column.
         _, phi, y = _instance(64, 64, 256, 11, sigma_n2=0.1)
         y_s = q.sign_quantize(y)
         res = q.biht(phi, y_s, variant, q.SolverOptions(k=64))
-        ref, _, _ = _biht_dense(phi, y_s, variant, 64)
-        _assert_matches_dense(res, ref)
+        ref, trace = _biht_dense(phi, y_s, variant, 64)
+        _assert_matches_dense(res, ref, trace)
 
-    @pytest.mark.parametrize("variant", list(BihtVariant))
-    def test_restart_from_negative_gradient(self, variant):
-        # Phi = [1, 2, 0, ..., 0]^T and y = [+1, -1, +1, ...]: the proxy is
-        # x = -1, only row 0 disagrees, and its gradient g = -1 equals x, so
-        # H_1(x - g) = 0 and BIHT restarts from -g; signs never all match.
+    @pytest.mark.parametrize("sigma_n2", [0.0, 0.1])
+    def test_near_zero_measurements_bracketed(self, sigma_n2):
+        # At m = 96, n = k = 64 the l2 variant drives disagreeing
+        # measurements toward Phi x = 0, down to ~1e-17, where their signs,
+        # and so the Hamming count, follow the summation order. The l2
+        # gradient weights each row by its own y Phi x, so such rows barely
+        # move the iterate and both loops follow one path: each count of
+        # biht's lies between the reference's counts without and with the
+        # near-zero rows, and so does the least of them.
+        m = 96
+        _, phi, y = _instance(64, 64, m, 11, sigma_n2)
+        y_s = q.sign_quantize(y)
+        res = q.biht(phi, y_s, BihtVariant.ONE_SIDED_L2, q.SolverOptions(k=64))
+        ref, trace = _biht_dense(phi, y_s, BihtVariant.ONE_SIDED_L2, 64)
+        assert trace["margin"] < _NEAR_ZERO
+        count = round(res.consistency_hamming * m)
+        assert min(trace["ham_lo"]) <= count <= min(trace["ham_hi"])
+        assert res.converged == (count == 0)
+        assert res.iterations == ref.iterations or res.converged or ref.converged
+        # The estimate is the iterate whose count was reported.
+        ax = phi.entries @ res.estimate
+        near = np.abs(ax) <= _NEAR_ZERO * np.max(np.abs(ax))
+        bad = q.sign_quantize(ax) != y_s
+        assert np.sum(bad & ~near) <= count <= np.sum(bad | near)
+        assert np.linalg.norm(res.estimate) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "variant, column, y_head",
+        [
+            (BihtVariant.ONE_SIDED_L1, [0.5, 0.5, 1.25], [1, 1, -1]),
+            (BihtVariant.ONE_SIDED_L2, [0.5, 0.5, 0.5, 0.5, 2.5], [1, 1, 1, 1, -1]),
+        ],
+    )
+    def test_restart_from_negative_gradient(self, variant, column, y_head):
+        # One column, zero below the listed entries, y = +1 below y_head.
+        # Phi^T y < 0, so the proxy is x = -1; the rows with y = +1
+        # disagree, and their gradient g equals x (sum |a| = 1 for l1,
+        # sum a^2 = 1 for l2). So H_1(x - g) = 0 and BIHT restarts from
+        # -g = +1, where only the y = -1 row disagrees: the count falls to
+        # 1/16, which a restart in the wrong direction would not reach.
+        # Every value is a short dyadic fraction, so both loops compute it
+        # exactly within 10 iterations.
         entries = np.zeros((16, 1))
-        entries[:2, 0] = [1.0, 2.0]
+        entries[: len(column), 0] = column
         phi = q.SensingMatrix(16, 1, entries, MatrixKind.IID_GAUSSIAN)
         y_s = np.ones(16)
-        y_s[1] = -1.0
-        res = q.biht(phi, y_s, variant, q.SolverOptions(k=1))
-        ref, _, restarts = _biht_dense(phi, y_s, variant, 1)
-        assert restarts > 0
-        assert res.iterations == 100 and not res.converged
+        y_s[: len(y_head)] = y_head
+        opts = q.SolverOptions(k=1, max_iter=10)
+        res = q.biht(phi, y_s, variant, opts)
+        ref, trace = _biht_dense(phi, y_s, variant, 1, max_iter=10)
+        assert trace["restarts"] > 0
+        assert res.iterations == 10 and not res.converged
         assert res.consistency_hamming == 1 / 16
-        _assert_matches_dense(res, ref)
+        assert res.estimate.tolist() == [1.0]
+        _assert_matches_dense(res, ref, trace)
 
     def test_input_validation(self):
         _, phi, y = _instance(64, 2, 128, 0)
