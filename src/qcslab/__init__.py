@@ -11,10 +11,7 @@ from .bound import (
     BoundParams,
     bound_inner_term,
     budget_error_bound,
-    correlated_noise_error_bound,
     envelope_optimal_b,
-    envelope_regime_relation,
-    estimate_corr_s,
     estimate_rip_delta,
     optimal_bitdepth,
     params_for_isnr,
@@ -62,24 +59,20 @@ from .reconstruct import (
     SolverOptions,
     biht,
     bpdn,
-    debias_on_support,
     hamming_consistency,
     hard_threshold,
     oracle_ls,
     rsnr_db,
     squared_error,
 )
-from .seeding import derive_seed, make_rng
+from .seeding import derive_seed
 from .signal_model import (
-    MatrixKind,
     SensingMatrix,
     SparseSignal,
     gen_gaussian_matrix,
     gen_sparse_signal,
-    isnr_db,
     make_tight_frame,
     measure,
-    noise_fold_variance,
     sigma_n_for_isnr,
 )
 from .svgplot import PlotSpec, Series, render_svg

@@ -5,10 +5,9 @@ Evaluates the per-measurement error expression
     K sx2 B 2^(-2B) + N sn2 B (1 + 2^(-2B)),
 
 its full form scaled by 2K / (budget (1 - delta)) plus a correlation
-penalty, the back-of-envelope optimal bit depth, and the Gershgorin-style
-eigenvalue bound used to derive it. Also provides Monte-Carlo estimators
-for the restricted-isometry constant and the quantized-measurement
-correlation that enter the full bound.
+penalty, and the back-of-envelope optimal bit depth. Also provides a
+Monte-Carlo estimator for the restricted-isometry constant that enters
+the full bound.
 """
 
 from __future__ import annotations
@@ -52,10 +51,6 @@ class BoundCurve:
     bit_grid: tuple
     values: np.ndarray
     argmin_b: int
-
-    @property
-    def argmin_on_boundary(self) -> bool:
-        return self.argmin_b in (self.bit_grid[0], self.bit_grid[-1])
 
 
 def bound_inner_term(b: float, p: BoundParams) -> float:
@@ -105,30 +100,6 @@ def envelope_optimal_b(norm_x2: float, sigma_n2: float, m: int, n: int) -> float
     return 0.5 * math.log2(norm_x2 / sigma_n2 * m / n)
 
 
-def envelope_regime_relation(budget: float, m: int) -> float:
-    """Right side 2*budget/m - log2(m) of the regime-transition relation."""
-    if m < 1:
-        raise InvalidParameterError("m must be >= 1")
-    if budget < m:
-        raise InvalidParameterError("budget must be >= m (at least 1 bit each)")
-    return 2.0 * budget / m - math.log2(m)
-
-
-def estimate_corr_s(samples: np.ndarray) -> float:
-    """Empirical max |mean(q_i q_j)| over measurement pairs i != j.
-
-    Rows are independent quantized measurement vectors; columns index
-    measurements.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[0] < 2 or samples.shape[1] < 2:
-        raise InvalidParameterError("need >= 2 sample vectors of dimension >= 2")
-    second_moment = samples.T @ samples / samples.shape[0]
-    off = np.abs(second_moment)
-    np.fill_diagonal(off, -np.inf)
-    return float(np.max(off))
-
-
 def estimate_rip_delta(
     phi: SensingMatrix, k: int, trials: int, rng: np.random.Generator
 ) -> float:
@@ -148,22 +119,6 @@ def estimate_rip_delta(
         s = np.linalg.svd(phi.entries[:, idx], compute_uv=False)
         delta = max(delta, float(s[0] ** 2 - 1.0), float(1.0 - s[-1] ** 2))
     return delta
-
-
-def correlated_noise_error_bound(
-    sigma_diag: float, corr_s: float, m: int, k: int, delta: float
-) -> float:
-    """Oracle-error bound K/(1-delta) * (sz2 + (M-1)*S) for correlated noise.
-
-    Combines the largest-eigenvalue bound with the Gershgorin estimate
-    lambda_max <= sz2 + (M-1)*S for a covariance with constant diagonal
-    sigma_diag and off-diagonal magnitudes at most corr_s.
-    """
-    if not 0.0 <= delta < 1.0:
-        raise InvalidParameterError("delta must lie in [0, 1)")
-    if m < 1 or k < 1:
-        raise InvalidParameterError("m and k must be >= 1")
-    return (k / (1.0 - delta)) * (sigma_diag + (m - 1) * corr_s)
 
 
 def params_for_isnr(

@@ -163,7 +163,6 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_bound_curve(args) -> int:
-    out = _out_dir(args)
     if args.preset == "fig1":
         isnr_list = list(presets.FIG1.isnr_list)
         bits = list(range(presets.FIG1.b_min, presets.FIG1.b_max + 1))
@@ -175,16 +174,21 @@ def _cmd_bound_curve(args) -> int:
     if not isnr_list:
         raise _UsageError("--isnr: need at least one value")
     budget = _bound_budget(args)
-    for isnr in isnr_list:
-        params = bound_mod.params_for_isnr(
-            isnr,
-            n=args.n,
-            k=args.k,
-            sigma_x2=args.sigma_x2,
-            budget=budget,
-            delta=args.delta,
-            corr_s=args.corr_s,
-        )
+    with _blame("--isnr"):
+        param_list = [
+            bound_mod.params_for_isnr(
+                isnr,
+                n=args.n,
+                k=args.k,
+                sigma_x2=args.sigma_x2,
+                budget=budget,
+                delta=args.delta,
+                corr_s=args.corr_s,
+            )
+            for isnr in isnr_list
+        ]
+    out = _out_dir(args)
+    for isnr, params in zip(isnr_list, param_list):
         with _blame("--bits"):
             curve = bound_mod.optimal_bitdepth(params, min(bits), max(bits), mode=mode)
         tag = _fmt_num(isnr)

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple, get_args, get_origin, get_type_h
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError, QcsLabError
-from .quantize import dynamic_range, sign_quantize, uniform_quantize
+from .quantize import MAX_BITS, dynamic_range, sign_quantize, uniform_quantize
 from .reconstruct import (
     BihtVariant,
     SolverOptions,
@@ -109,6 +109,12 @@ def _parse_value(name, tp, value):
     return _CONFIG_PARSERS[tp](name, value)
 
 
+def _distinct(name, values):
+    """Reject a repeated entry, which would run and count its tuples twice."""
+    if len(set(values)) != len(values):
+        raise ConfigError(name, f"entries must be distinct, got {list(values)!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """Full parameter tuple of a sweep; JSON (de)serializable."""
@@ -136,15 +142,24 @@ class ExperimentConfig:
             raise ConfigError("trials", "must be >= 1")
         if not self.budgets:
             raise ConfigError("budgets", "must be nonempty")
-        if not self.bit_grid or any(b < 1 for b in self.bit_grid):
-            raise ConfigError("bit_grid", "entries must be >= 1")
+        _distinct("budgets", self.resolved_budgets())
+        if not self.bit_grid or any(not 1 <= b <= MAX_BITS for b in self.bit_grid):
+            raise ConfigError("bit_grid", f"entries must be in [1, {MAX_BITS}]")
+        _distinct("bit_grid", self.bit_grid)
         if not self.isnr_list:
             raise ConfigError("isnr_list", "must be nonempty")
+        for isnr in self.isnr_list:
+            try:
+                sigma_n_for_isnr(self.k, self.sigma_x2, self.n, isnr)
+            except InvalidParameterError as exc:
+                raise ConfigError("isnr_list", str(exc)) from exc
+        _distinct("isnr_list", self.isnr_list)
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ConfigError("algorithms", f"unknown algorithm {alg!r}")
         if not self.algorithms:
             raise ConfigError("algorithms", "must be nonempty")
+        _distinct("algorithms", self.algorithms)
         if self.matrix_kind not in MATRIX_KINDS:
             raise ConfigError("matrix_kind", f"must be one of {MATRIX_KINDS}")
         if self.quantizer not in QUANTIZERS:
@@ -450,7 +465,7 @@ def regime_map(
     points = []
     for isnr in cfg.isnr_list:
         best = None
-        for bit_depth in sorted(set(cfg.bit_grid)):
+        for bit_depth in sorted(cfg.bit_grid):
             means = [
                 agg.rsnr_mean
                 for agg in table.aggregates

@@ -241,18 +241,6 @@ def bpdn(
     return ReconResult(estimate=x, iterations=it, converged=stationary and feasible)
 
 
-def debias_on_support(
-    phi: SensingMatrix, y: np.ndarray, x_hat: np.ndarray, k: Optional[int] = None
-) -> np.ndarray:
-    """Least-squares refit on the detected (or top-k) support of x_hat."""
-    if k is not None:
-        x_hat = hard_threshold(x_hat, k)
-    idx = np.flatnonzero(np.abs(x_hat) > 1e-10 * max(np.max(np.abs(x_hat)), 1e-300))
-    if idx.size == 0 or idx.size > phi.rows:
-        return x_hat.copy()
-    return oracle_ls(phi, y, idx)
-
-
 def _sign_mismatch(ax: np.ndarray, y_sign: np.ndarray) -> np.ndarray:
     """Rows where sign(Phi x), with sign(0) = +1, disagrees with y_sign."""
     return sign_quantize(ax) != y_sign

@@ -10,8 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 
-import numpy as np
-
 
 def derive_seed(master_seed: int, *parts) -> int:
     """Return a 63-bit seed determined by the master seed and key parts.
@@ -23,7 +21,3 @@ def derive_seed(master_seed: int, *parts) -> int:
     digest = hashlib.sha256(material.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
-
-def make_rng(master_seed: int, *parts) -> np.random.Generator:
-    """Generator seeded by `derive_seed` over the same arguments."""
-    return np.random.default_rng(derive_seed(master_seed, *parts))

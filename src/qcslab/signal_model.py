@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -19,33 +18,25 @@ from .errors import (
 )
 
 
-class MatrixKind(Enum):
-    IID_GAUSSIAN = "iid_gaussian"
-    TIGHT_FRAME = "tight_frame"
-
-
 @dataclass(frozen=True)
 class SparseSignal:
-    """Ground-truth sparse vector with its support and amplitude variance."""
+    """Ground-truth sparse vector with its support."""
 
     values: np.ndarray
     support: np.ndarray
-    sigma_x2: float
-    n: int
-    k: int
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         support = np.asarray(self.support, dtype=int)
-        if values.ndim != 1 or values.shape[0] != self.n:
-            raise InvalidParameterError("values must be a length-n vector")
-        if support.ndim != 1 or support.shape[0] != self.k:
-            raise InvalidParameterError("support must hold exactly k indices")
-        if len(np.unique(support)) != self.k:
+        if values.ndim != 1:
+            raise InvalidParameterError("values must be a vector")
+        if support.ndim != 1:
+            raise InvalidParameterError("support must be a vector of indices")
+        if len(np.unique(support)) != support.size:
             raise InvalidParameterError("support indices must be distinct")
-        if support.size and (support.min() < 0 or support.max() >= self.n):
+        if support.size and (support.min() < 0 or support.max() >= values.size):
             raise InvalidParameterError("support indices out of range")
-        off = np.setdiff1d(np.arange(self.n), support)
+        off = np.setdiff1d(np.arange(values.size), support)
         if off.size and np.any(values[off] != 0.0):
             raise InvalidParameterError("values must vanish off the support")
         values.flags.writeable = False
@@ -53,24 +44,35 @@ class SparseSignal:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "support", support)
 
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def k(self) -> int:
+        return self.support.shape[0]
+
 
 @dataclass(frozen=True)
 class SensingMatrix:
-    """M x N dense measurement operator with provenance metadata."""
+    """Read-only M x N dense measurement operator."""
 
-    rows: int
-    cols: int
     entries: np.ndarray
-    kind: MatrixKind
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
-        if entries.shape != (self.rows, self.cols):
-            raise DimensionMismatchError(
-                f"entries shape {entries.shape} != ({self.rows}, {self.cols})"
-            )
+        if entries.ndim != 2:
+            raise DimensionMismatchError(f"entries must be 2-D, not {entries.shape}")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
+
+    @property
+    def rows(self) -> int:
+        return self.entries.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.entries.shape[1]
 
 
 def gen_sparse_signal(
@@ -88,29 +90,29 @@ def gen_sparse_signal(
     support = np.sort(rng.choice(n, size=k, replace=False))
     values = np.zeros(n)
     values[support] = math.sqrt(sigma_x2) * rng.standard_normal(k)
-    return SparseSignal(values=values, support=support, sigma_x2=sigma_x2, n=n, k=k)
+    return SparseSignal(values=values, support=support)
 
 
 def sigma_n_for_isnr(k: int, sigma_x2: float, n: int, isnr_db: float) -> float:
     """Signal-noise variance giving the requested input SNR in dB.
 
-    Inverts isnr = 10 log10(k sigma_x2 / (n sigma_n2)); an infinite ISNR
-    maps to zero noise.
+    Inverts isnr = 10 log10(k sigma_x2 / (n sigma_n2)); an ISNR of +inf
+    maps to zero noise. An ISNR with no finite noise variance (NaN, -inf,
+    or so low that the variance overflows) is rejected.
     """
     if k < 1 or n < 1 or sigma_x2 <= 0:
         raise InvalidParameterError("k, n, sigma_x2 must be positive")
-    if math.isinf(isnr_db) and isnr_db > 0:
+    if isnr_db == math.inf:
         return 0.0
-    return (k * sigma_x2 / n) * 10.0 ** (-isnr_db / 10.0)
-
-
-def isnr_db(x: SparseSignal, sigma_n2: float) -> float:
-    """Input SNR in dB from expected powers k*sigma_x2 and n*sigma_n2."""
-    if sigma_n2 < 0:
-        raise InvalidParameterError("sigma_n2 must be nonnegative")
-    if sigma_n2 == 0:
-        return math.inf
-    return 10.0 * math.log10(x.k * x.sigma_x2 / (x.n * sigma_n2))
+    try:
+        sigma_n2 = (k * sigma_x2 / n) * 10.0 ** (-isnr_db / 10.0)
+    except OverflowError:
+        sigma_n2 = math.inf
+    if not math.isfinite(sigma_n2):
+        raise InvalidParameterError(
+            f"ISNR {isnr_db!r} dB gives no finite noise variance"
+        )
+    return sigma_n2
 
 
 def gen_gaussian_matrix(m: int, n: int, rng: np.random.Generator) -> SensingMatrix:
@@ -119,7 +121,7 @@ def gen_gaussian_matrix(m: int, n: int, rng: np.random.Generator) -> SensingMatr
         raise InvalidParameterError("matrix dimensions must be >= 1")
     entries = rng.standard_normal((m, n))
     entries /= math.sqrt(m)
-    return SensingMatrix(rows=m, cols=n, entries=entries, kind=MatrixKind.IID_GAUSSIAN)
+    return SensingMatrix(entries)
 
 
 def make_tight_frame(phi: SensingMatrix) -> SensingMatrix:
@@ -136,7 +138,7 @@ def make_tight_frame(phi: SensingMatrix) -> SensingMatrix:
     if diag.min() <= n * np.finfo(float).eps * max(diag.max(), 1e-300):
         raise DegenerateMatrixError("input matrix is rank deficient")
     entries = math.sqrt(n / m) * q.T
-    return SensingMatrix(rows=m, cols=n, entries=entries, kind=MatrixKind.TIGHT_FRAME)
+    return SensingMatrix(entries)
 
 
 def measure(phi: SensingMatrix, x: np.ndarray) -> np.ndarray:
@@ -147,12 +149,3 @@ def measure(phi: SensingMatrix, x: np.ndarray) -> np.ndarray:
             f"signal length {x.shape} != matrix cols {phi.cols}"
         )
     return phi.entries @ x
-
-
-def noise_fold_variance(n: int, m: int, sigma_n2: float) -> float:
-    """Folded per-measurement noise variance (n/m) * sigma_n2, for m <= n."""
-    if m < 1 or m > n:
-        raise InvalidParameterError("folding law requires 1 <= m <= n")
-    if sigma_n2 < 0:
-        raise InvalidParameterError("sigma_n2 must be nonnegative")
-    return (n / m) * sigma_n2

@@ -81,6 +81,7 @@ class TestBoundCurveCmd:
             ("--delta", "1.5"),
             ("--budget", "1"),
             ("--budget", "nanN"),
+            ("--isnr", "nan"),
         ],
     )
     def test_out_of_domain_flag_exits_1_naming_it(self, flag, value, tmp_path, capsys):
@@ -117,13 +118,14 @@ class TestSweepCmd:
         assert (out1 / "results.csv").read_bytes() != (out2 / "results.csv").read_bytes()
 
     def test_partial_failure_exit_3(self, tmp_path):
-        # k=8 makes the B=12 tuple unexecutable (m = 10 > k fails: m=170//12=14? craft m<k)
+        # At a budget of 24 bits with k=8, B=4 leaves m=6 < k measurements and
+        # is skipped, while B=2 gives m=12 and runs.
         cfg = write_tiny_config(
             tmp_path / "cfg.json", n=64, k=8, budgets=[24], bit_grid=[4, 2]
         )
         out = tmp_path / "out"
         code = main(["sweep", "--config", str(cfg), "--out", str(out)])
-        assert code == 3  # B=4 -> m=6 < 8 skipped; B=2 -> m=12 runs
+        assert code == 3
 
     def test_total_failure_exit_2(self, tmp_path):
         cfg = write_tiny_config(
@@ -139,6 +141,22 @@ class TestSweepCmd:
         cfg.write_text(json.dumps(data), encoding="utf-8")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--bits", "2,2"], "bit_grid"),
+            (["--bits", "40", "--budget", "20N"], "bit_grid"),
+            (["--budget", "1N,256"], "budgets"),
+            (["--isnr", "nan"], "isnr_list"),
+            (["--isnr=-inf"], "isnr_list"),
+        ],
+    )
+    def test_bad_grid_exits_1_naming_field(self, flags, field, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "--preset", "ci", "--out", str(out), *flags]) == 1
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_thread_env_var_exits_1(self, tmp_path, monkeypatch, capsys):
         cfg = write_tiny_config(tmp_path / "cfg.json")

@@ -15,6 +15,7 @@ from qcslab.harness import (
     aggregates_to_csv,
     results_to_csv,
 )
+from qcslab.quantize import MAX_BITS
 
 
 def tiny_config(**overrides):
@@ -88,6 +89,21 @@ class TestConfig:
             tiny_config(algorithms=["magic"])
         with pytest.raises(q.ConfigError, match="matrix_kind"):
             tiny_config(matrix_kind="dense")
+        tiny_config(bit_grid=[MAX_BITS], isnr_list=[math.inf])
+        with pytest.raises(q.ConfigError, match="bit_grid"):
+            tiny_config(bit_grid=[MAX_BITS + 1])
+        # Repeated entries would run, and count, the same tuples twice.
+        with pytest.raises(q.ConfigError, match="bit_grid"):
+            tiny_config(bit_grid=[2, 2])
+        with pytest.raises(q.ConfigError, match="isnr_list"):
+            tiny_config(isnr_list=[20.0, 20])
+        with pytest.raises(q.ConfigError, match="budgets"):
+            tiny_config(budgets=["1N", 64])
+        with pytest.raises(q.ConfigError, match="algorithms"):
+            tiny_config(algorithms=["bpdn", "bpdn"])
+        for isnr in (math.nan, -math.inf):
+            with pytest.raises(q.ConfigError, match="isnr_list"):
+                tiny_config(isnr_list=[isnr])
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "bad.json"

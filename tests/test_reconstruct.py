@@ -3,7 +3,6 @@ import pytest
 
 import qcslab as q
 from qcslab.reconstruct import _GATHER_ROWS_SHARE, BihtVariant
-from qcslab.signal_model import MatrixKind
 
 
 def _instance(n, k, m, seed, sigma_n2=0.0):
@@ -120,7 +119,7 @@ class TestOracleLs:
         rng = np.random.default_rng(2)
         entries = rng.standard_normal((20, 40))
         entries[:, 1] = entries[:, 0]
-        phi = q.SensingMatrix(20, 40, entries, MatrixKind.IID_GAUSSIAN)
+        phi = q.SensingMatrix(entries)
         with pytest.raises(q.DegenerateSupportError):
             q.oracle_ls(phi, rng.standard_normal(20), [0, 1])
 
@@ -203,7 +202,7 @@ class TestBpdn:
         entries = phi.entries.copy()
         entries[3, :] = 0.0
         entries[:, 5] = 0.0
-        phi = q.SensingMatrix(m, 40, entries, MatrixKind.IID_GAUSSIAN)
+        phi = q.SensingMatrix(entries)
         y = entries @ x.values
         y_q = q.uniform_quantize(y, q.dynamic_range(y), 3)
         eps = float(np.linalg.norm(y - y_q))
@@ -229,7 +228,8 @@ class TestBpdn:
     def test_debias_recovers_exactly(self):
         x, phi, y = _instance(256, 4, 100, 30)
         rough = q.bpdn(phi, y, 1e-6)
-        refit = q.debias_on_support(phi, y, rough.estimate, k=4)
+        support = np.flatnonzero(q.hard_threshold(rough.estimate, 4))
+        refit = q.oracle_ls(phi, y, support)
         assert np.max(np.abs(refit - x.values)) <= 1e-8
 
 
@@ -352,7 +352,7 @@ class TestBiht:
         # exactly within 10 iterations.
         entries = np.zeros((16, 1))
         entries[: len(column), 0] = column
-        phi = q.SensingMatrix(16, 1, entries, MatrixKind.IID_GAUSSIAN)
+        phi = q.SensingMatrix(entries)
         y_s = np.ones(16)
         y_s[: len(y_head)] = y_head
         opts = q.SolverOptions(k=1, max_iter=10)
