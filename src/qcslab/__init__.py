@@ -56,7 +56,6 @@ from .quantize import (
 from .reconstruct import (
     BihtVariant,
     ReconResult,
-    SolverOptions,
     biht,
     bpdn,
     hamming_consistency,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
+from .quantize import MAX_BITS
 from .signal_model import SensingMatrix, sigma_n_for_isnr
 
 
@@ -74,20 +75,24 @@ def budget_error_bound(b: float, p: BoundParams) -> float:
     return lead * bound_inner_term(b, p) + corr
 
 
-def optimal_bitdepth(
-    p: BoundParams, b_min: int = 2, b_max: int = 12, mode: str = "inner"
-) -> BoundCurve:
-    """Evaluate the bound on {b_min..b_max} and locate its minimum.
+def optimal_bitdepth(p: BoundParams, bits, mode: str = "inner") -> BoundCurve:
+    """Evaluate the bound at each bit depth in bits and locate its minimum.
 
-    mode "inner" scores bit depths by the parenthesized term alone;
-    "full" uses the complete bound. Ties resolve to the smallest B.
+    The depths are evaluated in ascending order and must be distinct and
+    lie in [2, MAX_BITS]. mode "inner" scores bit depths by the
+    parenthesized term alone; "full" uses the complete bound. Ties
+    resolve to the smallest B.
     """
-    if not (2 <= b_min <= b_max <= 32):
-        raise InvalidParameterError("need 2 <= b_min <= b_max <= 32")
+    grid = tuple(sorted(bits))
+    if not grid:
+        raise InvalidParameterError("need at least one bit depth")
+    if len(set(grid)) != len(grid):
+        raise InvalidParameterError(f"bit depths must be distinct, got {list(grid)!r}")
+    if grid[0] < 2 or grid[-1] > MAX_BITS:
+        raise InvalidParameterError(f"bit depths must lie in [2, {MAX_BITS}]")
     if mode not in ("inner", "full"):
         raise InvalidParameterError(f"unknown mode {mode!r}")
     fn = bound_inner_term if mode == "inner" else budget_error_bound
-    grid = tuple(range(b_min, b_max + 1))
     values = np.array([fn(b, p) for b in grid])
     argmin_b = grid[int(np.argmin(values))]
     return BoundCurve(bit_grid=grid, values=values, argmin_b=argmin_b)

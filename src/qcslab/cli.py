@@ -165,7 +165,7 @@ def _build_parser() -> _Parser:
 def _cmd_bound_curve(args) -> int:
     if args.preset == "fig1":
         isnr_list = list(presets.FIG1.isnr_list)
-        bits = list(range(presets.FIG1.b_min, presets.FIG1.b_max + 1))
+        bits = presets.FIG1.bits
         mode = presets.FIG1.mode
     else:
         isnr_list = _parse_float_list(args.isnr, "--isnr")
@@ -173,6 +173,8 @@ def _cmd_bound_curve(args) -> int:
         mode = args.mode
     if not isnr_list:
         raise _UsageError("--isnr: need at least one value")
+    if len(set(isnr_list)) != len(isnr_list):
+        raise _UsageError(f"--isnr: entries must be distinct, got {isnr_list!r}")
     budget = _bound_budget(args)
     with _blame("--isnr"):
         param_list = [
@@ -187,10 +189,10 @@ def _cmd_bound_curve(args) -> int:
             )
             for isnr in isnr_list
         ]
+    with _blame("--bits"):
+        curves = [bound_mod.optimal_bitdepth(p, bits, mode=mode) for p in param_list]
     out = _out_dir(args)
-    for isnr, params in zip(isnr_list, param_list):
-        with _blame("--bits"):
-            curve = bound_mod.optimal_bitdepth(params, min(bits), max(bits), mode=mode)
+    for isnr, curve in zip(isnr_list, curves):
         tag = _fmt_num(isnr)
         csv_lines = ["bit_depth,bound_value,is_min"]
         for b, v in zip(curve.bit_grid, curve.values):

@@ -27,7 +27,6 @@ from .errors import ConfigError, InvalidParameterError, QcsLabError
 from .quantize import MAX_BITS, dynamic_range, sign_quantize, uniform_quantize
 from .reconstruct import (
     BihtVariant,
-    SolverOptions,
     biht,
     bpdn,
     oracle_ls,
@@ -43,9 +42,9 @@ from .signal_model import (
     sigma_n_for_isnr,
 )
 
-ALGORITHMS = ("oracle_ls", "bpdn", "biht_l1", "biht_l2")
 MULTIBIT_ALGORITHMS = ("oracle_ls", "bpdn")
 ONEBIT_ALGORITHMS = ("biht_l1", "biht_l2")
+ALGORITHMS = MULTIBIT_ALGORITHMS + ONEBIT_ALGORITHMS
 MATRIX_KINDS = ("iid_gaussian", "tight_frame")
 QUANTIZERS = ("uniform",)
 THREADS_ENV_VAR = "QCSLAB_THREADS"
@@ -319,12 +318,11 @@ def run_trial(
     else:
         y_q = uniform_quantize(y, dynamic_range(y_clean), bit_depth)
 
-    biht_opts = SolverOptions(k=cfg.k)
     solvers = {
         "oracle_ls": lambda: oracle_ls(phi, y_q, x.support),
-        "bpdn": lambda: bpdn(phi, y_q, float(np.linalg.norm(y - y_q)), SolverOptions()),
-        "biht_l1": lambda: biht(phi, y_q, BihtVariant.ONE_SIDED_L1, biht_opts),
-        "biht_l2": lambda: biht(phi, y_q, BihtVariant.ONE_SIDED_L2, biht_opts),
+        "bpdn": lambda: bpdn(phi, y_q, float(np.linalg.norm(y - y_q))),
+        "biht_l1": lambda: biht(phi, y_q, cfg.k, BihtVariant.ONE_SIDED_L1),
+        "biht_l2": lambda: biht(phi, y_q, cfg.k, BihtVariant.ONE_SIDED_L2),
     }
     rows: List[TrialResult] = []
     for alg in _applicable_algorithms(cfg.algorithms, bit_depth):

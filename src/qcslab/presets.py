@@ -19,13 +19,14 @@ DEFAULT_SEED = 20250810
 @dataclass(frozen=True)
 class BoundCurvePreset:
     isnr_list: Tuple[float, ...]
-    b_min: int
-    b_max: int
+    bits: Tuple[int, ...]
     mode: str
 
 
 # Bit-depth bound curves at the four reference input SNRs.
-FIG1 = BoundCurvePreset(isnr_list=(35.0, 20.0, 10.0, 5.0), b_min=2, b_max=12, mode="inner")
+FIG1 = BoundCurvePreset(
+    isnr_list=(35.0, 20.0, 10.0, 5.0), bits=tuple(range(2, 13)), mode="inner"
+)
 
 
 def _fig2(seed: int) -> ExperimentConfig:

@@ -33,28 +33,6 @@ class BihtVariant(Enum):
 
 
 @dataclass
-class SolverOptions:
-    """Iteration controls shared by the solvers.
-
-    max_iter of None picks the per-solver default (2000 for the l1
-    solver, 100 for the 1-bit solvers). k is the sparsity level required
-    by the hard-thresholding solvers.
-    """
-
-    max_iter: Optional[int] = None
-    tol: float = 1e-6
-    k: Optional[int] = None
-
-    def __post_init__(self):
-        if self.max_iter is not None and self.max_iter < 1:
-            raise InvalidParameterError("max_iter must be >= 1")
-        if self.tol <= 0:
-            raise InvalidParameterError("tol must be positive")
-        if self.k is not None and self.k < 1:
-            raise InvalidParameterError("k must be >= 1")
-
-
-@dataclass
 class ReconResult:
     """Solver output: the estimate plus convergence diagnostics."""
 
@@ -136,7 +114,7 @@ def _feasibility_polish(a: np.ndarray, y: np.ndarray, x: np.ndarray, eps: float)
     proj_sq = float(ad @ ad)
     out_sq = max(rn * rn - proj_sq, 0.0)
     if proj_sq == 0.0:
-        return x, rn <= eps
+        return x, False
     if eps * eps < out_sq:
         # Fidelity ball does not intersect the affine slice along d.
         return x + d, False
@@ -153,13 +131,16 @@ def _feasibility_polish(a: np.ndarray, y: np.ndarray, x: np.ndarray, eps: float)
 _ADAPT_ALPHA0 = 0.5
 _ADAPT_ETA = 0.95
 _ADAPT_DELTA = 1.5
+# bpdn's stopping tolerance: the relative change of the l1 objective that
+# counts as stationary; a thousandth of it is the residual test's slack.
+_STOP_TOL = 1e-6
 
 
 def bpdn(
     phi: SensingMatrix,
     y: np.ndarray,
     eps: float,
-    opts: Optional[SolverOptions] = None,
+    max_iter: int = 2000,
 ) -> ReconResult:
     """Minimize ||x||_1 subject to ||y - Phi x||_2 <= eps.
 
@@ -172,17 +153,18 @@ def bpdn(
     product with Phi and one with Phi^T. The iteration stops when the l1
     objective is stationary and the residual is within eps (1 + 1e-3).
     A final minimum-norm polish then moves the iterate onto the fidelity
-    ball; a converged result is feasible to relative tolerance 1e-6 and
-    stationary, checked against the full Phi and y.
+    ball; a converged result is stationary and has
+    ||y - Phi x|| <= eps (1 + 1e-9) + 1e-12, checked against the full Phi
+    and y.
     """
-    opts = opts or SolverOptions()
+    if max_iter < 1:
+        raise InvalidParameterError("max_iter must be >= 1")
     if eps < 0:
         raise InvalidParameterError("eps must be nonnegative")
     a = phi.entries
     y = np.asarray(y, dtype=float)
     if y.shape != (phi.rows,):
         raise DimensionMismatchError("measurement length != matrix rows")
-    max_iter = opts.max_iter if opts.max_iter is not None else 2000
 
     if np.linalg.norm(y) <= eps:
         return ReconResult(
@@ -218,8 +200,8 @@ def bpdn(
         if it % 10 == 0:
             obj = float(np.sum(np.abs(x_new)))
             resid = float(np.linalg.norm(y - ax_new))
-            obj_gap = abs(obj - obj_prev) <= opts.tol * max(obj, 1e-12)
-            feas_gap = resid <= eps * (1.0 + 1e-3) + opts.tol * 1e-3
+            obj_gap = abs(obj - obj_prev) <= _STOP_TOL * max(obj, 1e-12)
+            feas_gap = resid <= eps * (1.0 + 1e-3) + _STOP_TOL * 1e-3
             if obj_gap and feas_gap:
                 x = x_new
                 stationary = True
@@ -236,8 +218,6 @@ def bpdn(
         x, ax, p = x_new, ax_new, p_new
 
     x, feasible = _feasibility_polish(a, y, x, eps)
-    resid = float(np.linalg.norm(y - a @ x))
-    feasible = feasible and resid <= eps * (1.0 + 1e-6) + 1e-12
     return ReconResult(estimate=x, iterations=it, converged=stationary and feasible)
 
 
@@ -260,8 +240,9 @@ _GATHER_ROWS_SHARE = 1 / 8
 def biht(
     phi: SensingMatrix,
     y_sign: np.ndarray,
+    k: int,
     variant: BihtVariant = BihtVariant.ONE_SIDED_L1,
-    opts: Optional[SolverOptions] = None,
+    max_iter: int = 100,
 ) -> ReconResult:
     """Binary iterative hard thresholding on sign measurements.
 
@@ -278,18 +259,16 @@ def biht(
     off the sign-disagreeing rows, reads only those rows while they are at
     most _GATHER_ROWS_SHARE of them.
     """
-    opts = opts or SolverOptions()
-    if opts.k is None:
-        raise InvalidParameterError("BIHT requires opts.k")
+    if max_iter < 1:
+        raise InvalidParameterError("max_iter must be >= 1")
     y_sign = np.asarray(y_sign, dtype=float)
     if y_sign.shape != (phi.rows,):
         raise DimensionMismatchError("sign vector length != matrix rows")
     if not np.all(np.abs(y_sign) == 1.0):
         raise InvalidParameterError("y_sign entries must be +-1")
     a = phi.entries
-    max_iter = opts.max_iter if opts.max_iter is not None else 100
 
-    x = hard_threshold(a.T @ y_sign, opts.k)
+    x = hard_threshold(a.T @ y_sign, k)
     nx = np.linalg.norm(x)
     if nx == 0.0:
         return ReconResult(
@@ -326,7 +305,7 @@ def biht(
             u_full = np.zeros(m)
             u_full[rows] = u
             g = a.T @ u_full
-        x_next = hard_threshold(x - g, opts.k)
+        x_next = hard_threshold(x - g, k)
         if not np.any(x_next):
             if not np.any(g):
                 return ReconResult(
@@ -336,7 +315,7 @@ def biht(
                     consistency_hamming=best_ham,
                 )
             # Thresholded to zero with a live gradient: restart from the step.
-            x_next = hard_threshold(-g, opts.k)
+            x_next = hard_threshold(-g, k)
         x = x_next
 
     nb = np.linalg.norm(best_x)

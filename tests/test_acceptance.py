@@ -7,7 +7,6 @@ keep the suite inside a few minutes.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -43,7 +42,7 @@ def ci_table():
 def test_criterion_01_bound_minima():
     t0 = time.perf_counter()
     argmins = {
-        isnr: q.optimal_bitdepth(q.params_for_isnr(isnr), 2, 12, mode="inner").argmin_b
+        isnr: q.optimal_bitdepth(q.params_for_isnr(isnr), range(2, 13), mode="inner").argmin_b
         for isnr in (35.0, 20.0, 10.0, 5.0)
     }
     elapsed = time.perf_counter() - t0
@@ -318,7 +317,7 @@ def test_criterion_09_quantizer_properties():
     assert decreasing_ok
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, child_env):
     cfg = q.ExperimentConfig(
         n=64,
         k=2,
@@ -333,7 +332,7 @@ def test_criterion_10_determinism(tmp_path):
     digests = []
     for i, threads in enumerate(("1", "2", "2")):
         out = tmp_path / f"out{i}"
-        env = dict(os.environ, QCSLAB_THREADS=threads)
+        env = dict(child_env, QCSLAB_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "qcslab.cli", "sweep", "--config", str(cfg_path),
              "--out", str(out)],

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 import qcslab as q
+from qcslab.quantize import MAX_BITS
+
+GRID_2_12 = list(range(2, 13))
 
 # Normalization with n*sigma_n2 = 1 and k*sigma_x2 = 10^(isnr/10) makes the
 # inner term equal its dimensionless form used in the reference curves.
@@ -79,27 +82,27 @@ class TestOptimalBitdepth:
     def test_reference_minima(self):
         targets = {35.0: 7, 20.0: 5, 10.0: 2, 5.0: 2}
         for isnr, best in targets.items():
-            curve = q.optimal_bitdepth(q.params_for_isnr(isnr), 2, 12)
+            curve = q.optimal_bitdepth(q.params_for_isnr(isnr), GRID_2_12)
             assert curve.argmin_b == best
 
     def test_noiseless_minimum_at_top(self):
         p = q.BoundParams(n=1000, k=10, sigma_x2=1.0, sigma_n2=0.0, budget=3000)
-        curve = q.optimal_bitdepth(p, 2, 12)
+        curve = q.optimal_bitdepth(p, GRID_2_12)
         assert curve.argmin_b == 12
 
     def test_heavy_noise_minimum_at_bottom(self):
         p = q.BoundParams(n=1000, k=10, sigma_x2=1.0, sigma_n2=1e6, budget=3000)
-        curve = q.optimal_bitdepth(p, 2, 12)
+        curve = q.optimal_bitdepth(p, GRID_2_12)
         assert curve.argmin_b == 2
 
     def test_single_point_grid(self):
-        curve = q.optimal_bitdepth(q.params_for_isnr(20.0), 5, 5)
+        curve = q.optimal_bitdepth(q.params_for_isnr(20.0), [5])
         assert curve.bit_grid == (5,)
         assert curve.argmin_b == 5
 
     def test_scale_invariance_of_argmin(self):
         for isnr in (35.0, 20.0, 10.0, 5.0):
-            ref = q.optimal_bitdepth(q.params_for_isnr(isnr), 2, 12).argmin_b
+            ref = q.optimal_bitdepth(q.params_for_isnr(isnr), GRID_2_12).argmin_b
             for c in (1e-3, 17.0, 1e4):
                 p = q.params_for_isnr(isnr)
                 scaled = q.BoundParams(
@@ -109,13 +112,20 @@ class TestOptimalBitdepth:
                     sigma_n2=c * p.sigma_n2,
                     budget=p.budget,
                 )
-                assert q.optimal_bitdepth(scaled, 2, 12).argmin_b == ref
+                assert q.optimal_bitdepth(scaled, GRID_2_12).argmin_b == ref
+
+    def test_sparse_grid_evaluates_only_its_depths(self):
+        p = q.params_for_isnr(20.0)
+        full = q.optimal_bitdepth(p, GRID_2_12)
+        curve = q.optimal_bitdepth(p, [6, 2, 4])
+        assert curve.bit_grid == (2, 4, 6)
+        expected = [full.values[full.bit_grid.index(b)] for b in (2, 4, 6)]
+        assert curve.values.tolist() == expected
 
     def test_grid_validation(self):
-        with pytest.raises(q.InvalidParameterError):
-            q.optimal_bitdepth(NORMALIZED_35, 1, 12)
-        with pytest.raises(q.InvalidParameterError):
-            q.optimal_bitdepth(NORMALIZED_35, 8, 4)
+        for bits in ([], [4, 4], [1, 4], [MAX_BITS + 1]):
+            with pytest.raises(q.InvalidParameterError):
+                q.optimal_bitdepth(NORMALIZED_35, bits)
 
 
 class TestEnvelope:

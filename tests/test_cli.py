@@ -49,6 +49,15 @@ class TestBoundCurveCmd:
         assert len(rows) == 1
         assert rows[0]["is_min"] == "1"
 
+    def test_sparse_grid_writes_only_listed_depths(self, tmp_path, capsys):
+        assert main(["bound-curve", "--isnr", "20", "--bits", "2,4,6",
+                     "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "bound_curve_isnr20.csv")
+        assert [int(r["bit_depth"]) for r in rows] == [2, 4, 6]
+        marked = [int(r["bit_depth"]) for r in rows if r["is_min"] == "1"]
+        assert len(marked) == 1
+        assert f"optimal B = {marked[0]}" in capsys.readouterr().out
+
     def test_full_mode_is_scaled_inner(self, tmp_path):
         out_inner = tmp_path / "inner"
         out_full = tmp_path / "full"
@@ -82,10 +91,14 @@ class TestBoundCurveCmd:
             ("--budget", "1"),
             ("--budget", "nanN"),
             ("--isnr", "nan"),
+            ("--isnr", "20,20"),
+            ("--bits", "4,4"),
         ],
     )
     def test_out_of_domain_flag_exits_1_naming_it(self, flag, value, tmp_path, capsys):
-        assert main(["bound-curve", flag, value, "--out", str(tmp_path)]) == 1
+        # The output directory is not even created.
+        out = tmp_path / "out"
+        assert main(["bound-curve", flag, value, "--out", str(out)]) == 1
         assert f"error: {flag}:" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 

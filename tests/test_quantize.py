@@ -179,10 +179,12 @@ class TestDistortion:
             q.distortion(np.zeros(3), np.zeros(2))
 
 
-def test_import_does_not_load_scipy():
+def test_import_does_not_load_scipy(child_env):
     code = (
         "import qcslab, sys; "
         "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env
+    )
     assert proc.returncode == 0, proc.stderr

@@ -162,6 +162,12 @@ class TestBpdn:
         with pytest.raises(q.InvalidParameterError):
             q.bpdn(phi, y, -1.0)
 
+    def test_max_iter_below_one_rejected(self):
+        # Rejected even where the zero estimate would return before iterating.
+        _, phi, y = _instance(100, 3, 40, 1)
+        with pytest.raises(q.InvalidParameterError):
+            q.bpdn(phi, y, float(np.linalg.norm(y)) * 1.01, max_iter=0)
+
     def test_noiseless_high_accuracy(self):
         for seed in range(5):
             x, phi, y = _instance(256, 4, 100, 10 + seed)
@@ -213,7 +219,7 @@ class TestBpdn:
     def test_iteration_cap_reported(self):
         _, phi, y = _instance(256, 4, 100, 70)
         y_q = q.uniform_quantize(y, q.dynamic_range(y), 4)
-        res = q.bpdn(phi, y_q, float(np.linalg.norm(y - y_q)), q.SolverOptions(max_iter=10))
+        res = q.bpdn(phi, y_q, float(np.linalg.norm(y - y_q)), max_iter=10)
         assert not res.converged
         assert res.iterations == 10
 
@@ -241,19 +247,19 @@ class TestBiht:
             x = q.gen_sparse_signal(256, 1, 1.0, rng)
             phi = q.gen_gaussian_matrix(512, 256, rng)
             y_s = q.sign_quantize(phi.entries @ x.values)
-            res = q.biht(phi, y_s, BihtVariant.ONE_SIDED_L1, q.SolverOptions(k=1))
+            res = q.biht(phi, y_s, 1, BihtVariant.ONE_SIDED_L1)
             hits += int(np.argmax(np.abs(res.estimate)) == x.support[0])
         assert hits >= 57  # >= 95%
 
     def test_unit_norm_output(self):
         x, phi, y = _instance(128, 4, 256, 5)
-        res = q.biht(phi, q.sign_quantize(y), BihtVariant.ONE_SIDED_L2, q.SolverOptions(k=4))
+        res = q.biht(phi, q.sign_quantize(y), 4, BihtVariant.ONE_SIDED_L2)
         assert np.linalg.norm(res.estimate) == pytest.approx(1.0, abs=1e-12)
 
     def test_consistent_result_has_zero_hamming(self):
         x, phi, y = _instance(128, 2, 512, 6)
         y_s = q.sign_quantize(y)
-        res = q.biht(phi, y_s, BihtVariant.ONE_SIDED_L1, q.SolverOptions(k=2))
+        res = q.biht(phi, y_s, 2, BihtVariant.ONE_SIDED_L1)
         if res.converged:
             assert res.consistency_hamming == 0.0
             assert q.hamming_consistency(y_s, phi, res.estimate) == 0.0
@@ -264,7 +270,7 @@ class TestBiht:
             y_s = q.sign_quantize(y)
             x0 = q.hard_threshold(phi.entries.T @ y_s, 4)
             init_ham = q.hamming_consistency(y_s, phi, x0)
-            res = q.biht(phi, y_s, BihtVariant.ONE_SIDED_L2, q.SolverOptions(k=4))
+            res = q.biht(phi, y_s, 4, BihtVariant.ONE_SIDED_L2)
             assert res.consistency_hamming <= init_ham + 1e-12
 
     def test_l2_beats_l1_in_heavy_noise(self):
@@ -276,8 +282,8 @@ class TestBiht:
             phi = q.gen_gaussian_matrix(512, 256, rng)
             y = phi.entries @ (x.values + np.sqrt(sn2) * rng.standard_normal(256))
             y_s = q.sign_quantize(y)
-            r1 = q.biht(phi, y_s, BihtVariant.ONE_SIDED_L1, q.SolverOptions(k=4))
-            r2 = q.biht(phi, y_s, BihtVariant.ONE_SIDED_L2, q.SolverOptions(k=4))
+            r1 = q.biht(phi, y_s, 4, BihtVariant.ONE_SIDED_L1)
+            r2 = q.biht(phi, y_s, 4, BihtVariant.ONE_SIDED_L2)
             gains_l1.append(q.rsnr_db(x.values, r1.estimate, rescale_1bit=True))
             gains_l2.append(q.rsnr_db(x.values, r2.estimate, rescale_1bit=True))
         assert np.mean(gains_l2) >= np.mean(gains_l1)
@@ -293,7 +299,7 @@ class TestBiht:
                         256, 4, m, 70 + m, q.sigma_n_for_isnr(4, 1.0, 256, isnr)
                     )
                     y_s = q.sign_quantize(y)
-                    res = q.biht(phi, y_s, variant, q.SolverOptions(k=4))
+                    res = q.biht(phi, y_s, 4, variant)
                     ref, trace = _biht_dense(phi, y_s, variant, 4)
                     _assert_matches_dense(res, ref, trace)
                     shares += trace["shares"]
@@ -304,7 +310,7 @@ class TestBiht:
         # k = n: the forward product gathers every column.
         _, phi, y = _instance(64, 64, 256, 11, sigma_n2=0.1)
         y_s = q.sign_quantize(y)
-        res = q.biht(phi, y_s, variant, q.SolverOptions(k=64))
+        res = q.biht(phi, y_s, 64, variant)
         ref, trace = _biht_dense(phi, y_s, variant, 64)
         _assert_matches_dense(res, ref, trace)
 
@@ -320,7 +326,7 @@ class TestBiht:
         m = 96
         _, phi, y = _instance(64, 64, m, 11, sigma_n2)
         y_s = q.sign_quantize(y)
-        res = q.biht(phi, y_s, BihtVariant.ONE_SIDED_L2, q.SolverOptions(k=64))
+        res = q.biht(phi, y_s, 64, BihtVariant.ONE_SIDED_L2)
         ref, trace = _biht_dense(phi, y_s, BihtVariant.ONE_SIDED_L2, 64)
         assert trace["margin"] < _NEAR_ZERO
         count = round(res.consistency_hamming * m)
@@ -355,8 +361,7 @@ class TestBiht:
         phi = q.SensingMatrix(entries)
         y_s = np.ones(16)
         y_s[: len(y_head)] = y_head
-        opts = q.SolverOptions(k=1, max_iter=10)
-        res = q.biht(phi, y_s, variant, opts)
+        res = q.biht(phi, y_s, 1, variant, max_iter=10)
         ref, trace = _biht_dense(phi, y_s, variant, 1, max_iter=10)
         assert trace["restarts"] > 0
         assert res.iterations == 10 and not res.converged
@@ -367,9 +372,11 @@ class TestBiht:
     def test_input_validation(self):
         _, phi, y = _instance(64, 2, 128, 0)
         with pytest.raises(q.InvalidParameterError):
-            q.biht(phi, q.sign_quantize(y), opts=q.SolverOptions())  # k missing
+            q.biht(phi, q.sign_quantize(y), k=0)
         with pytest.raises(q.InvalidParameterError):
-            q.biht(phi, y, opts=q.SolverOptions(k=2))  # not a sign vector
+            q.biht(phi, q.sign_quantize(y), 2, max_iter=0)
+        with pytest.raises(q.InvalidParameterError):
+            q.biht(phi, y, 2)  # not a sign vector
 
 
 class TestMetrics:
