@@ -44,10 +44,7 @@ from .harness import (
 )
 from .quantize import (
     LloydMaxSpec,
-    SignSpec,
-    UniformSpec,
     apply_codebook,
-    distortion,
     dynamic_range,
     lloyd_max,
     sign_quantize,

@@ -39,10 +39,10 @@ class BoundParams:
             raise InvalidParameterError("budget must be >= 2 (bound needs B > 1)")
         if not 0.0 <= self.delta < 1.0:
             raise InvalidParameterError("delta must lie in [0, 1)")
-        if self.sigma_x2 < 0 or self.sigma_n2 < 0:
-            raise InvalidParameterError("variances must be nonnegative")
-        if self.corr_s < 0:
-            raise InvalidParameterError("corr_s must be nonnegative")
+        if not (0 <= self.sigma_x2 < math.inf and 0 <= self.sigma_n2 < math.inf):
+            raise InvalidParameterError("variances must be finite and nonnegative")
+        if not 0 <= self.corr_s < math.inf:
+            raise InvalidParameterError("corr_s must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

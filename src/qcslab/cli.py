@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage or config error, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -22,7 +23,9 @@ from . import presets
 from .errors import ConfigError, InvalidParameterError, QcsLabError
 from .harness import (
     ExperimentConfig,
+    RegimePoint,
     ResultTable,
+    _to_csv,
     parse_budget,
     read_config,
     regime_map,
@@ -92,8 +95,8 @@ def _bound_budget(args) -> int:
         raise _UsageError("--n: must be >= 1")
     if not 1 <= args.k <= args.n:
         raise _UsageError("--k: must satisfy 1 <= k <= n")
-    if not args.sigma_x2 > 0:
-        raise _UsageError("--sigma-x2: must be positive")
+    if not 0 < args.sigma_x2 < math.inf:
+        raise _UsageError("--sigma-x2: must be positive and finite")
     with _blame("--budget"):
         budget = parse_budget(args.budget, args.n)
         params = bound_mod.BoundParams(args.n, args.k, args.sigma_x2, 0.0, budget)
@@ -118,7 +121,19 @@ def _out_dir(args) -> Path:
 
 def _add_common(parser):
     parser.add_argument("--out", default="qcslab_out", help="output directory")
+
+
+def _add_sweep_common(parser):
+    """The flags of the commands that run a sweep: its config and overrides."""
+    parser.add_argument("--config", default=None, help="JSON config path")
+    parser.add_argument(
+        "--preset", choices=sorted(presets.preset_names()), default=None
+    )
+    parser.add_argument("--trials", type=int, default=None)
+    parser.add_argument("--isnr", default=None, help="override ISNR comma list")
+    parser.add_argument("--bits", default=None, help="override bit grid")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
+    _add_common(parser)
 
 
 def _build_parser() -> _Parser:
@@ -135,27 +150,16 @@ def _build_parser() -> _Parser:
     pb.add_argument("--n", type=int, default=1000)
     pb.add_argument("--k", type=int, default=10)
     pb.add_argument("--sigma-x2", type=float, default=1.0)
-    pb.add_argument("--preset", choices=["fig1"], default=None)
     _add_common(pb)
 
     ps = sub.add_parser("sweep", help="Monte-Carlo sweep over (budget, B, ISNR)")
-    ps.add_argument("--config", default=None, help="JSON config path")
-    ps.add_argument("--preset", choices=sorted(presets.preset_names()), default=None)
-    ps.add_argument("--trials", type=int, default=None)
-    ps.add_argument("--isnr", default=None, help="override ISNR comma list")
-    ps.add_argument("--bits", default=None, help="override bit grid")
     ps.add_argument("--budget", default=None, help="override budgets (comma list)")
     ps.add_argument("--timing", action="store_true", help="record wall times")
-    _add_common(ps)
+    _add_sweep_common(ps)
 
     pr = sub.add_parser("regime-map", help="best (M, B) per ISNR at a fixed budget")
-    pr.add_argument("--config", default=None)
-    pr.add_argument("--preset", choices=sorted(presets.preset_names()), default=None)
     pr.add_argument("--budget", required=True, help="bit budget (xN or absolute)")
-    pr.add_argument("--trials", type=int, default=None)
-    pr.add_argument("--isnr", default=None, help="override ISNR comma list")
-    pr.add_argument("--bits", default=None, help="override bit grid")
-    _add_common(pr)
+    _add_sweep_common(pr)
 
     pp = sub.add_parser("presets", help="preset inspection")
     pp.add_argument("action", choices=["list"])
@@ -163,14 +167,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_bound_curve(args) -> int:
-    if args.preset == "fig1":
-        isnr_list = list(presets.FIG1.isnr_list)
-        bits = presets.FIG1.bits
-        mode = presets.FIG1.mode
-    else:
-        isnr_list = _parse_float_list(args.isnr, "--isnr")
-        bits = _parse_bits(args.bits)
-        mode = args.mode
+    isnr_list = _parse_float_list(args.isnr, "--isnr")
+    bits = _parse_bits(args.bits)
     if not isnr_list:
         raise _UsageError("--isnr: need at least one value")
     if len(set(isnr_list)) != len(isnr_list):
@@ -190,7 +188,9 @@ def _cmd_bound_curve(args) -> int:
             for isnr in isnr_list
         ]
     with _blame("--bits"):
-        curves = [bound_mod.optimal_bitdepth(p, bits, mode=mode) for p in param_list]
+        curves = [
+            bound_mod.optimal_bitdepth(p, bits, mode=args.mode) for p in param_list
+        ]
     out = _out_dir(args)
     for isnr, curve in zip(isnr_list, curves):
         tag = _fmt_num(isnr)
@@ -210,7 +210,9 @@ def _cmd_bound_curve(args) -> int:
                 )
             ],
             x_label="bit depth B",
-            y_label="error bound" if mode == "full" else "per-measurement error term",
+            y_label=(
+                "error bound" if args.mode == "full" else "per-measurement error term"
+            ),
             title=f"Bound vs bit depth, ISNR {tag} dB (min at B={curve.argmin_b})",
             markers=[(float(curve.argmin_b), min_val)],
         )
@@ -228,8 +230,6 @@ def _load_sweep_config(args) -> ExperimentConfig:
         if args.seed is not None:
             cfg = replace(cfg, master_seed=args.seed)
     elif args.preset:
-        if args.preset == "fig1":
-            raise _UsageError("preset fig1 belongs to bound-curve")
         cfg = presets.sweep_preset(args.preset, seed=args.seed)
     else:
         raise _UsageError("one of --config or --preset is required")
@@ -237,9 +237,9 @@ def _load_sweep_config(args) -> ExperimentConfig:
         cfg = replace(cfg, trials=args.trials)
     if args.isnr is not None:
         cfg = replace(cfg, isnr_list=_parse_float_list(args.isnr, "--isnr"))
-    if getattr(args, "bits", None) is not None:
+    if args.bits is not None:
         cfg = replace(cfg, bit_grid=_parse_bits(args.bits))
-    if getattr(args, "budget", None) is not None and args.command == "sweep":
+    if args.command == "sweep" and args.budget is not None:
         raw = [tok.strip() for tok in str(args.budget).split(",") if tok.strip()]
         cfg = replace(cfg, budgets=raw)
     return cfg
@@ -314,13 +314,8 @@ def _cmd_regime_map(args) -> int:
     budget = parse_budget(args.budget, cfg.n)
     points, table = regime_map(cfg, budget)
     tag = str(budget)
-    lines = ["isnr_db,best_b,best_m,best_rsnr,regime"]
-    for p in points:
-        lines.append(
-            f"{p.isnr_db!r},{p.best_b},{p.best_m},{p.best_rsnr!r},{p.regime}"
-        )
     (out / f"regime_map_budget{tag}.csv").write_text(
-        "\n".join(lines) + "\n", encoding="utf-8"
+        _to_csv(points, RegimePoint), encoding="utf-8"
     )
     if points:
         spec = PlotSpec(

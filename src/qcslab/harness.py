@@ -135,8 +135,8 @@ class ExperimentConfig:
             raise ConfigError("n", "must be >= 1")
         if not 1 <= self.k <= self.n:
             raise ConfigError("k", "must satisfy 1 <= k <= n")
-        if self.sigma_x2 <= 0:
-            raise ConfigError("sigma_x2", "must be positive")
+        if not 0 < self.sigma_x2 < math.inf:
+            raise ConfigError("sigma_x2", "must be positive and finite")
         if self.trials < 1:
             raise ConfigError("trials", "must be >= 1")
         if not self.budgets:

@@ -8,25 +8,12 @@ variant of the budget sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional
 
 from .harness import ExperimentConfig
 
 DEFAULT_SEED = 20250810
-
-
-@dataclass(frozen=True)
-class BoundCurvePreset:
-    isnr_list: Tuple[float, ...]
-    bits: Tuple[int, ...]
-    mode: str
-
-
-# Bit-depth bound curves at the four reference input SNRs.
-FIG1 = BoundCurvePreset(
-    isnr_list=(35.0, 20.0, 10.0, 5.0), bits=tuple(range(2, 13)), mode="inner"
-)
 
 
 def _fig2(seed: int) -> ExperimentConfig:
@@ -103,11 +90,8 @@ def sweep_preset(name: str, seed: Optional[int] = None) -> ExperimentConfig:
 
 
 def preset_names() -> List[str]:
-    return ["fig1"] + list(_SWEEP_PRESETS)
+    return list(_SWEEP_PRESETS)
 
 
 def preset_descriptions() -> Dict[str, str]:
-    out = {"fig1": "bound curves with marked minima at ISNR 35/20/10/5 dB"}
-    for name, (_, desc) in _SWEEP_PRESETS.items():
-        out[name] = desc
-    return out
+    return {name: desc for name, (_, desc) in _SWEEP_PRESETS.items()}

@@ -12,35 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Union
 
 import numpy as np
 
-from .errors import (
-    DegenerateRangeError,
-    DimensionMismatchError,
-    InvalidParameterError,
-)
+from .errors import DegenerateRangeError, InvalidParameterError
 
 MAX_BITS = 32
-
-
-@dataclass(frozen=True)
-class UniformSpec:
-    """Midpoint (midrise) uniform quantizer on [-T, T] with 2^B cells."""
-
-    t: float
-    b: int
-
-    def __post_init__(self):
-        if not (self.t > 0 and math.isfinite(self.t)):
-            raise InvalidParameterError("range T must be positive and finite")
-        if not (1 <= self.b <= MAX_BITS):
-            raise InvalidParameterError(f"bits must be in [1, {MAX_BITS}]")
-
-    @property
-    def delta(self) -> float:
-        return self.t * 2.0 ** (1 - self.b)
+# lloyd_max's stopping rule: the largest nearest-neighbor residual of the
+# unit-variance design, and the cap on Newton steps.
+_LLOYD_TOL = 1e-10
+_LLOYD_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -68,14 +49,6 @@ class LloydMaxSpec:
         object.__setattr__(self, "thresholds", thresholds)
 
 
-@dataclass(frozen=True)
-class SignSpec:
-    """1-bit quantizer onto {-1, +1} with sign(0) = +1."""
-
-
-QuantizerSpec = Union[UniformSpec, LloydMaxSpec, SignSpec]
-
-
 def dynamic_range(y: np.ndarray) -> float:
     """Peak magnitude T = max |y_i| used to span the quantizer range."""
     y = np.asarray(y, dtype=float)
@@ -95,11 +68,14 @@ def uniform_quantize(v: np.ndarray, t: float, b: int) -> np.ndarray:
     Inputs are clamped to the range first, so outputs saturate at
     +-(t - delta/2).
     """
-    spec = UniformSpec(t=t, b=b)
+    if not (t > 0 and math.isfinite(t)):
+        raise InvalidParameterError("range T must be positive and finite")
+    if not 1 <= b <= MAX_BITS:
+        raise InvalidParameterError(f"bits must be in [1, {MAX_BITS}]")
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise InvalidParameterError("uniform_quantize needs finite values")
-    delta = spec.delta
+    delta = t * 2.0 ** (1 - b)
     idx = np.floor((v + t) / delta)
     idx = np.clip(idx, 0, 2.0**b - 1)
     return -t + delta * (idx + 0.5)
@@ -148,12 +124,7 @@ def _solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
     return np.array(out)
 
 
-def lloyd_max(
-    b: int,
-    sigma2: float,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-) -> LloydMaxSpec:
+def lloyd_max(b: int, sigma2: float) -> LloydMaxSpec:
     """Design the MSE-optimal 2^b-level quantizer for N(0, sigma2).
 
     The codebook is odd-symmetric, so only the 2^(b-1) positive cells are
@@ -164,10 +135,10 @@ def lloyd_max(
     The Panter-Dite thresholds (equal-mass cells of N(0, 3 sigma2)) start
     the iteration; from there the undamped step keeps the thresholds
     ordered at every supported b (checked for b = 1..16). It stops once
-    every residual is at most tol * sigma, about five iterations; a
+    every residual is at most _LLOYD_TOL * sigma, about five iterations; a
     residual relative to the level spacing would stall above 1e-10 from
     b = 12 on, where Phi(b) - Phi(a) rounds away a narrow cell's mass.
-    After max_iter iterations the last iterate is returned with
+    After _LLOYD_MAX_ITER iterations the last iterate is returned with
     converged=False.
     """
     if b < 1:
@@ -176,19 +147,17 @@ def lloyd_max(
         raise InvalidParameterError("lloyd_max supports at most 16 bits")
     if sigma2 <= 0:
         raise InvalidParameterError("sigma2 must be positive")
-    if max_iter < 1:
-        raise InvalidParameterError("max_iter must be >= 1")
     sigma = math.sqrt(sigma2)
     cells = 2 ** (b - 1)
     start = NormalDist(0.0, math.sqrt(3.0))
     inner = np.array([start.inv_cdf(0.5 + j / (2 * cells)) for j in range(1, cells)])
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _LLOYD_MAX_ITER + 1):
         edges = np.concatenate(([0.0], inner, [math.inf]))
         pdf, mass, first, _ = _half_line_moments(edges)
         centroids = first / mass
         resid = inner - 0.5 * (centroids[:-1] + centroids[1:])
-        if np.all(np.abs(resid) <= tol):
+        if np.all(np.abs(resid) <= _LLOYD_TOL):
             converged = True
             break
         d_lo = pdf[:-1] * (centroids - edges[:-1]) / mass
@@ -212,23 +181,7 @@ def lloyd_max(
     )
 
 
-def apply_codebook(v: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
-    """Quantize elementwise according to the given codebook description."""
-    v = np.asarray(v, dtype=float)
-    if isinstance(spec, UniformSpec):
-        return uniform_quantize(v, spec.t, spec.b)
-    if isinstance(spec, LloydMaxSpec):
-        idx = np.searchsorted(spec.thresholds, v, side="right")
-        return spec.levels[idx]
-    if isinstance(spec, SignSpec):
-        return sign_quantize(v)
-    raise InvalidParameterError(f"unknown quantizer spec {type(spec)!r}")
-
-
-def distortion(v: np.ndarray, q: np.ndarray) -> float:
-    """Mean squared difference between a vector and its quantized version."""
-    v = np.asarray(v, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if v.shape != q.shape:
-        raise DimensionMismatchError(f"shape mismatch {v.shape} vs {q.shape}")
-    return float(np.mean((v - q) ** 2))
+def apply_codebook(v: np.ndarray, spec: LloydMaxSpec) -> np.ndarray:
+    """Map each value to the level of the Lloyd-Max cell it falls in."""
+    idx = np.searchsorted(spec.thresholds, np.asarray(v, dtype=float), side="right")
+    return spec.levels[idx]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,10 @@ class TestBoundParams:
             q.BoundParams(n=1, k=1, sigma_x2=-1.0, sigma_n2=1.0, budget=10)
         with pytest.raises(q.InvalidParameterError):
             q.BoundParams(n=1, k=1, sigma_x2=1.0, sigma_n2=1.0, budget=10, corr_s=-0.1)
+        base = dict(n=1, k=1, sigma_x2=1.0, sigma_n2=1.0, budget=10)
+        for bad in ({"sigma_x2": math.inf}, {"sigma_n2": math.nan}, {"corr_s": math.nan}):
+            with pytest.raises(q.InvalidParameterError):
+                q.BoundParams(**{**base, **bad})
 
 
 class TestInnerTerm:

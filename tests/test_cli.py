@@ -1,10 +1,14 @@
+import argparse
 import csv
 import json
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
+from typing import get_type_hints
 
 import pytest
 
-from qcslab.cli import main
+from qcslab.cli import _build_parser, main
+from qcslab.harness import RegimePoint, read_config, regime_map
 from qcslab.presets import sweep_preset
 
 
@@ -30,11 +34,8 @@ def read_csv(path):
 
 class TestBoundCurveCmd:
     def test_reference_minima_marked(self, tmp_path, capsys):
-        code = main(
-            ["bound-curve", "--isnr", "35,20,10,5", "--bits", "2..12",
-             "--out", str(tmp_path)]
-        )
-        assert code == 0
+        # The defaults are the paper's Figure 1 case: ISNR 35/20/10/5 dB, B 2..12.
+        assert main(["bound-curve", "--out", str(tmp_path)]) == 0
         for isnr, best in (("35", 7), ("20", 5), ("10", 2), ("5", 2)):
             rows = read_csv(tmp_path / f"bound_curve_isnr{isnr}.csv")
             assert len(rows) == 11
@@ -79,6 +80,13 @@ class TestBoundCurveCmd:
         assert main(["bound-curve", "--isnr", "abc"]) == 1
         assert main(["no-such-command"]) == 1
 
+    @pytest.mark.parametrize("flags", [["--preset", "fig1"], ["--seed", "5"]])
+    def test_sweep_only_flags_rejected(self, flags, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["bound-curve", *flags, "--out", str(out)]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag, value",
         [
@@ -86,6 +94,9 @@ class TestBoundCurveCmd:
             ("--k", "0"),
             ("--k", "2000"),
             ("--sigma-x2", "0"),
+            ("--sigma-x2", "inf"),
+            ("--corr-s", "nan"),
+            ("--corr-s", "inf"),
             ("--bits", "1..5"),
             ("--delta", "1.5"),
             ("--budget", "1"),
@@ -156,6 +167,17 @@ class TestSweepCmd:
         assert "trials" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "overrides",
+        [dict(sigma_x2=math.nan), dict(sigma_x2=math.inf, isnr_list=[math.inf])],
+    )
+    def test_non_finite_sigma_x2_exits_1_naming_it(self, overrides, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "config error: sigma_x2:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flags, field",
         [
             (["--bits", "2,2"], "bit_grid"),
@@ -203,6 +225,21 @@ class TestRegimeMapCmd:
         assert rows[0]["regime"] in {"QC", "MC", "transition"}
         assert (out / "regime_map_budget128.svg").exists()
 
+    def test_csv_rows_are_regime_points(self, tmp_path):
+        cfg_path = write_tiny_config(tmp_path / "cfg.json", isnr_list=[5.0, 20.0])
+        out = tmp_path / "out"
+        assert main(["regime-map", "--config", str(cfg_path), "--budget", "2N",
+                     "--out", str(out)]) == 0
+        points, _ = regime_map(read_config(cfg_path), "2N")
+        with open(out / "regime_map_budget128.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == [f.name for f in fields(RegimePoint)]
+        # Floats are written with repr, so they read back exactly.
+        hints = get_type_hints(RegimePoint)
+        assert [
+            RegimePoint(*(hints[c](cell) for c, cell in zip(header, row))) for row in rows
+        ] == points
+
     def test_budget_required(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")
         assert main(["regime-map", "--config", str(cfg)]) == 1
@@ -210,10 +247,16 @@ class TestRegimeMapCmd:
 
 class TestPresetsCmd:
     def test_list(self, capsys):
+        # presets list prints exactly the names that sweep --preset accepts.
         assert main(["presets", "list"]) == 0
-        out = capsys.readouterr().out
-        for name in ("fig1", "fig2", "fig3", "fig4", "ci", "k60"):
-            assert name in out
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        subcommands = next(
+            a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        sweep = subcommands.choices["sweep"]
+        accepted = next(a.choices for a in sweep._actions if a.dest == "preset")
+        assert sorted(listed) == sorted(accepted)
+        assert set(listed) == {"fig2", "fig3", "fig4", "ci", "k60"}
 
     def test_k60_is_fig3_with_denser_signals(self):
         k60, fig3 = sweep_preset("k60"), sweep_preset("fig3")
