@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -282,6 +283,7 @@ def run_trial(
     isnr: float,
     trial_index: int,
     record_timing: bool = False,
+    matrix_buffer: Optional[np.ndarray] = None,
 ) -> List[TrialResult]:
     """Execute one trial of one tuple and score every applicable algorithm.
 
@@ -289,6 +291,8 @@ def run_trial(
     at the requested ISNR, set the quantizer range from the noiseless
     measurements, quantize (signs when B = 1), reconstruct.
     1-bit estimates are rescaled to the true norm before scoring.
+    Phi is drawn into matrix_buffer when one is given (see
+    gen_gaussian_matrix's out); the rows are the same either way.
     """
     m = budget // bit_depth
     seed = derive_seed(
@@ -304,7 +308,7 @@ def run_trial(
     rng = np.random.default_rng(seed)
     x = gen_sparse_signal(cfg.n, cfg.k, cfg.sigma_x2, rng)
     sigma_n2 = sigma_n_for_isnr(cfg.k, cfg.sigma_x2, cfg.n, isnr)
-    phi = gen_gaussian_matrix(m, cfg.n, rng)
+    phi = gen_gaussian_matrix(m, cfg.n, rng, out=matrix_buffer)
     if cfg.matrix_kind == "tight_frame":
         phi = make_tight_frame(phi)
     y_clean = measure(phi, x.values)
@@ -376,12 +380,15 @@ def aggregate(rows: List[TrialResult]) -> List[AggregateRow]:
 
 def _worker_count() -> int:
     env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(THREADS_ENV_VAR, f"expected integer, got {env!r}")
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        count = int(env)
+    except ValueError:
+        raise ConfigError(THREADS_ENV_VAR, f"expected integer, got {env!r}") from None
+    if count < 1:
+        raise ConfigError(THREADS_ENV_VAR, f"must be >= 1, got {env!r}")
+    return count
 
 
 def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable:
@@ -391,9 +398,11 @@ def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable
     frame, or no applicable algorithm) are skipped with a recorded
     reason; a failing trial is recorded and does not abort the sweep.
     Trials run on a thread pool of QCSLAB_THREADS workers (default: the
-    CPU count). Output ordering is tuple-major then trial-major and
-    independent of the worker count. Wall times are recorded only with
-    record_timing, keeping default output bytes reproducible run to run.
+    CPU count). Each worker draws its matrices into one buffer sized for
+    the largest, so peak memory is about workers x the largest matrix.
+    Output ordering is tuple-major then trial-major and independent of
+    the worker count. Wall times are recorded only with record_timing,
+    keeping default output bytes reproducible run to run.
     """
     tasks = []
     skips: List[SkipRecord] = []
@@ -407,10 +416,20 @@ def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable
                     tup = (budget, bit_depth, isnr)
                     tasks.extend((tup, trial) for trial in range(cfg.trials))
 
+    # A matrix drawn fresh per trial and then freed can stay resident in
+    # the allocator's per-thread arenas, so each worker reuses one buffer.
+    largest = max((budget // bit_depth for (budget, bit_depth, _), _ in tasks), default=0)
+    worker = threading.local()
+
     def _attempt(task):
         (budget, bit_depth, isnr), trial = task
+        if not hasattr(worker, "matrix"):
+            worker.matrix = np.empty(largest * cfg.n)
         try:
-            return run_trial(cfg, budget, bit_depth, isnr, trial, record_timing)
+            return run_trial(
+                cfg, budget, bit_depth, isnr, trial, record_timing,
+                matrix_buffer=worker.matrix,
+            )
         except (QcsLabError, np.linalg.LinAlgError) as exc:
             return f"trial {trial} failed: {exc}"
 

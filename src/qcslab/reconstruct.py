@@ -227,14 +227,15 @@ def _sign_mismatch(ax: np.ndarray, y_sign: np.ndarray) -> np.ndarray:
 
 
 # Largest share of Phi's rows, the sign-disagreeing ones, that biht
-# gathers into a copy for the gradient; above it the gradient runs on the
-# full Phi. Measured at m=7000, n=1000, one BLAS thread: u[r] @ Phi[r]
-# took 0.13, 0.42, 0.79, 1.04, 1.69, 2.35 and 3.41 ms at 2, 5, 10, 12.5,
-# 20, 25 and 30% of the rows, against 3.7-4.0 ms for Phi^T u. The bound
-# stays at 1/8, not 1/4, for memory: the copy is at most m/8 rows (7 MB
-# here), and with two sweep workers a 1/4 bound raised the peak RSS of
-# the 1-bit fig3 slice above the dense loop's.
-_GATHER_ROWS_SHARE = 1 / 8
+# gathers for the gradient, _GATHER_BLOCK rows at a time (at most 512 KB
+# per copy at n=1000, whatever the share); above it the gradient runs on
+# the full Phi. Measured at n=1000, one BLAS thread: at m=7000 the blocked
+# gather took 0.54, 1.29 and 3.13 ms at 12.5, 25 and 40% of the rows,
+# against 3.5-4.4 ms for Phi^T u and 1.05, 2.65 and 5.38 ms for one
+# gather of all the rows; at m=3000 and 25%, 0.52 against 1.13 ms. At
+# n=256, m=512 the blocked gather ties Phi^T u at 25% and loses above it.
+_GATHER_ROWS_SHARE = 1 / 4
+_GATHER_BLOCK = 64
 
 
 def biht(
@@ -256,8 +257,8 @@ def biht(
 
     Each product touches only what can be nonzero: Phi x reads the
     columns on the support of x, and the gradient Phi^T u, which vanishes
-    off the sign-disagreeing rows, reads only those rows while they are at
-    most _GATHER_ROWS_SHARE of them.
+    off the sign-disagreeing rows, reads only those rows, in blocks, while
+    they are at most _GATHER_ROWS_SHARE of them.
     """
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
@@ -300,7 +301,10 @@ def biht(
         r = y_bad * ax[rows]
         u = y_bad * (np.sign(r) if variant is BihtVariant.ONE_SIDED_L1 else r)
         if rows.size <= _GATHER_ROWS_SHARE * m:
-            g = u @ a[rows]
+            g = np.zeros(phi.cols)
+            for lo in range(0, rows.size, _GATHER_BLOCK):
+                block = slice(lo, lo + _GATHER_BLOCK)
+                g += u[block] @ a[rows[block]]
         else:
             u_full = np.zeros(m)
             u_full[rows] = u

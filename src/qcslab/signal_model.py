@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -115,11 +116,28 @@ def sigma_n_for_isnr(k: int, sigma_x2: float, n: int, isnr_db: float) -> float:
     return sigma_n2
 
 
-def gen_gaussian_matrix(m: int, n: int, rng: np.random.Generator) -> SensingMatrix:
-    """I.i.d. Gaussian sensing matrix with per-entry variance 1/m."""
+def gen_gaussian_matrix(
+    m: int,
+    n: int,
+    rng: np.random.Generator,
+    out: Optional[np.ndarray] = None,
+) -> SensingMatrix:
+    """I.i.d. Gaussian sensing matrix with per-entry variance 1/m.
+
+    With out, a float64 vector of at least m*n entries, the entries are
+    drawn into its first m*n: the result aliases out, so it is valid only
+    until out is written again. The draws are the same as without out.
+    """
     if m < 1 or n < 1:
         raise InvalidParameterError("matrix dimensions must be >= 1")
-    entries = rng.standard_normal((m, n))
+    if out is None:
+        entries = rng.standard_normal((m, n))
+    elif out.ndim != 1 or out.size < m * n:
+        raise InvalidParameterError(
+            f"out must be a vector of at least {m * n} entries, not {out.shape}"
+        )
+    else:
+        entries = rng.standard_normal(out=out[: m * n].reshape(m, n))
     entries /= math.sqrt(m)
     return SensingMatrix(entries)
 

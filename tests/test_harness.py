@@ -182,7 +182,10 @@ class TestRunSweep:
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
 
     def test_deterministic_across_runs_and_workers(self, monkeypatch):
+        # Several m per worker: its one matrix buffer is reused across sizes.
         cfg = tiny_config()
+        (budget,) = cfg.resolved_budgets()
+        assert len({budget // b for b in cfg.bit_grid}) > 1
         monkeypatch.setenv("QCSLAB_THREADS", "1")
         t1 = q.run_sweep(cfg)
         monkeypatch.setenv("QCSLAB_THREADS", "3")
@@ -190,9 +193,10 @@ class TestRunSweep:
         assert results_to_csv(t1) == results_to_csv(t2)
         assert aggregates_to_csv(t1) == aggregates_to_csv(t2)
 
-    def test_thread_env_var_validated(self, monkeypatch):
-        monkeypatch.setenv("QCSLAB_THREADS", "soup")
-        with pytest.raises(q.ConfigError):
+    @pytest.mark.parametrize("value", ["soup", "0", "-1"])
+    def test_thread_env_var_validated(self, monkeypatch, value):
+        monkeypatch.setenv("QCSLAB_THREADS", value)
+        with pytest.raises(q.ConfigError, match="QCSLAB_THREADS"):
             q.run_sweep(tiny_config())
 
 

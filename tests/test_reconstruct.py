@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qcslab as q
-from qcslab.reconstruct import _GATHER_ROWS_SHARE, BihtVariant
+from qcslab.reconstruct import _GATHER_BLOCK, _GATHER_ROWS_SHARE, BihtVariant
 
 
 def _instance(n, k, m, seed, sigma_n2=0.0):
@@ -290,10 +290,11 @@ class TestBiht:
 
     def test_matches_dense_reference(self):
         # Both variants, m < n and m > n, ISNR 35 and 5 dB: the share of
-        # sign-disagreeing rows falls on both sides of the row-gather bound.
-        shares = []
+        # sign-disagreeing rows falls on both sides of the row-gather bound,
+        # and below it the gathered rows run to several blocks.
+        shares, gathered = [], []
         for variant in BihtVariant:
-            for m in (160, 640):
+            for m in (160, 640, 1600):
                 for isnr in (35.0, 5.0):
                     _, phi, y = _instance(
                         256, 4, m, 70 + m, q.sigma_n_for_isnr(4, 1.0, 256, isnr)
@@ -303,7 +304,11 @@ class TestBiht:
                     ref, trace = _biht_dense(phi, y_s, variant, 4)
                     _assert_matches_dense(res, ref, trace)
                     shares += trace["shares"]
+                    gathered += [
+                        round(s * m) for s in trace["shares"] if s <= _GATHER_ROWS_SHARE
+                    ]
         assert min(shares) <= _GATHER_ROWS_SHARE < max(shares)
+        assert max(gathered) > 3 * _GATHER_BLOCK
 
     @pytest.mark.parametrize("variant", list(BihtVariant))
     def test_dense_iterate_matches_reference(self, variant):

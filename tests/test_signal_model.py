@@ -96,6 +96,16 @@ class TestGaussianMatrix:
         draw = np.random.default_rng(42).standard_normal((m, n)) / np.sqrt(m)
         assert np.array_equal(phi.entries, draw)
 
+    def test_buffer_draw_matches_fresh_draw(self):
+        buf = np.full(300 * 1000 + 5, np.nan)
+        for m, n in [(300, 1000), (7, 3), (1, 1)]:
+            phi = q.gen_gaussian_matrix(m, n, np.random.default_rng(42), out=buf)
+            fresh = q.gen_gaussian_matrix(m, n, np.random.default_rng(42))
+            assert phi.entries.tobytes() == fresh.entries.tobytes()
+            assert np.shares_memory(phi.entries, buf)
+        with pytest.raises(q.InvalidParameterError):
+            q.gen_gaussian_matrix(4, 5, np.random.default_rng(0), out=np.empty(19))
+
 
 class TestTightFrame:
     def test_gram_identity(self):
