@@ -399,7 +399,8 @@ def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable
     reason; a failing trial is recorded and does not abort the sweep.
     Trials run on a thread pool of QCSLAB_THREADS workers (default: the
     CPU count). Each worker draws its matrices into one buffer sized for
-    the largest, so peak memory is about workers x the largest matrix.
+    the largest, so peak memory is about workers x the largest matrix; a
+    buffer that cannot be allocated raises QcsLabError naming its size.
     Output ordering is tuple-major then trial-major and independent of
     the worker count. Wall times are recorded only with record_timing,
     keeping default output bytes reproducible run to run.
@@ -424,7 +425,13 @@ def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable
     def _attempt(task):
         (budget, bit_depth, isnr), trial = task
         if not hasattr(worker, "matrix"):
-            worker.matrix = np.empty(largest * cfg.n)
+            try:
+                worker.matrix = np.empty(largest * cfg.n)
+            except MemoryError:
+                raise QcsLabError(
+                    f"cannot allocate the {largest} x {cfg.n} matrix buffer"
+                    f" ({largest * cfg.n * 8 / 2**30:.3g} GiB)"
+                ) from None
         try:
             return run_trial(
                 cfg, budget, bit_depth, isnr, trial, record_timing,

@@ -63,16 +63,19 @@ def oracle_ls(phi: SensingMatrix, y: np.ndarray, support) -> np.ndarray:
 
 def hard_threshold(v: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest-magnitude entries (ties go to lower indices)."""
-    v = np.asarray(v, dtype=float)
+    return _hard_threshold(np.asarray(v, dtype=float), k)[0]
+
+
+def _hard_threshold(v: np.ndarray, k: int):
+    """hard_threshold's output and the k indices it kept."""
     if k < 1 or k > v.size:
         raise InvalidParameterError("k must satisfy 1 <= k <= len(v)")
     if k == v.size:
-        return v.copy()
-    order = np.argsort(-np.abs(v), kind="stable")
+        return v.copy(), np.arange(k)
+    keep = np.argsort(-np.abs(v), kind="stable")[:k]
     out = np.zeros_like(v)
-    keep = order[:k]
     out[keep] = v[keep]
-    return out
+    return out, keep
 
 
 def _operator_norm(a: np.ndarray, iters: int = 60) -> float:
@@ -226,16 +229,41 @@ def _sign_mismatch(ax: np.ndarray, y_sign: np.ndarray) -> np.ndarray:
     return sign_quantize(ax) != y_sign
 
 
-# Largest share of Phi's rows, the sign-disagreeing ones, that biht
-# gathers for the gradient, _GATHER_BLOCK rows at a time (at most 512 KB
-# per copy at n=1000, whatever the share); above it the gradient runs on
-# the full Phi. Measured at n=1000, one BLAS thread: at m=7000 the blocked
-# gather took 0.54, 1.29 and 3.13 ms at 12.5, 25 and 40% of the rows,
-# against 3.5-4.4 ms for Phi^T u and 1.05, 2.65 and 5.38 ms for one
-# gather of all the rows; at m=3000 and 25%, 0.52 against 1.13 ms. At
-# n=256, m=512 the blocked gather ties Phi^T u at 25% and loses above it.
-_GATHER_ROWS_SHARE = 1 / 4
+def _gather_rows_share(n: int) -> float:
+    """Largest share of Phi's rows up to which biht gathers the
+    sign-disagreeing ones for the gradient; above it the gradient runs on
+    the full Phi.
+
+    The rows are gathered _GATHER_BLOCK at a time, so each copy is at
+    most 64 rows (512 KB at n=1000) whatever the share. A gathered row
+    then costs about twice what a row costs in the full product, plus a
+    per-block overhead that weighs more on short rows, so the bound rises
+    with the row length n toward 1/2: 1/4 at n=256, 0.375 at n=512 and
+    0.436 at n=1000. Below n=128 the gradient always runs on the full Phi.
+    Measured on one BLAS thread, blocked gather against Phi^T u (medians
+    of 61 runs):
+    - n=256, m=512: they tie at 25% (0.030 against 0.028 ms); the gather
+      loses at 30% (0.037 against 0.028 ms);
+    - n=512: at 35% the gather wins (0.176 against 0.188 ms at m=1024),
+      at 40% it loses (0.213 against 0.194 ms; 0.412 against 0.400 ms at
+      m=2048);
+    - n=1000: at m=1000 and 3000 they tie at 40-45% (1.15 against 1.18 ms
+      at 45%, m=3000) and the gather loses at 50%; at m=7000 it still
+      wins at 50% (2.19 against 2.76 ms).
+    """
+    return 0.5 - 64 / n
+
+
 _GATHER_BLOCK = 64
+
+
+def _gather_gradient(a: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """a^T u for u nonzero only on rows, gathered _GATHER_BLOCK rows at a time."""
+    g = np.zeros(a.shape[1])
+    for lo in range(0, rows.size, _GATHER_BLOCK):
+        part = slice(lo, lo + _GATHER_BLOCK)
+        g += u[part] @ a[rows[part]]
+    return g
 
 
 def biht(
@@ -255,10 +283,13 @@ def biht(
     exactly. The scale of the signal is unrecoverable, so the
     estimate is reported with unit l2 norm.
 
-    Each product touches only what can be nonzero: Phi x reads the
-    columns on the support of x, and the gradient Phi^T u, which vanishes
-    off the sign-disagreeing rows, reads only those rows, in blocks, while
-    they are at most _GATHER_ROWS_SHARE of them.
+    Each product touches only what can be nonzero. Phi x reads a k x m
+    block that holds, contiguously, the k columns H_k kept; the block
+    lasts the whole call, and a step that changes the kept columns copies
+    in only those that entered, over the rows of those that left (k*m*8
+    bytes, 560 KB at k=10, m=7000). The gradient Phi^T u, which vanishes
+    off the sign-disagreeing rows, reads only those rows, in blocks,
+    while they are at most _gather_rows_share(n) of them.
     """
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
@@ -268,25 +299,29 @@ def biht(
     if not np.all(np.abs(y_sign) == 1.0):
         raise InvalidParameterError("y_sign entries must be +-1")
     a = phi.entries
+    m, n = a.shape
 
-    x = hard_threshold(a.T @ y_sign, k)
+    x, cols = _hard_threshold(a.T @ y_sign, k)
     nx = np.linalg.norm(x)
     if nx == 0.0:
         return ReconResult(
-            estimate=np.zeros(phi.cols),
+            estimate=np.zeros(n),
             iterations=0,
             converged=False,
             consistency_hamming=1.0,
         )
     x = x / nx
+    # Row i of block is column cols[i] of Phi; held marks those columns.
+    block = a.T[cols]
+    held = np.zeros(n, dtype=bool)
+    held[cols] = True
+    gather_rows = _gather_rows_share(n) * m
 
     best_x = x.copy()
     best_ham = math.inf
     it = 0
-    m = phi.rows
     for it in range(1, max_iter + 1):
-        cols = np.flatnonzero(x)
-        ax = a[:, cols] @ x[cols]
+        ax = x[cols] @ block
         bad = _sign_mismatch(ax, y_sign)
         ham = float(np.mean(bad))
         if ham < best_ham:
@@ -300,26 +335,30 @@ def biht(
         y_bad = y_sign[rows]
         r = y_bad * ax[rows]
         u = y_bad * (np.sign(r) if variant is BihtVariant.ONE_SIDED_L1 else r)
-        if rows.size <= _GATHER_ROWS_SHARE * m:
-            g = np.zeros(phi.cols)
-            for lo in range(0, rows.size, _GATHER_BLOCK):
-                block = slice(lo, lo + _GATHER_BLOCK)
-                g += u[block] @ a[rows[block]]
+        if rows.size <= gather_rows:
+            g = _gather_gradient(a, rows, u)
         else:
             u_full = np.zeros(m)
             u_full[rows] = u
             g = a.T @ u_full
-        x_next = hard_threshold(x - g, k)
+        x_next, keep = _hard_threshold(x - g, k)
         if not np.any(x_next):
             if not np.any(g):
                 return ReconResult(
-                    estimate=np.zeros(phi.cols),
+                    estimate=np.zeros(n),
                     iterations=it,
                     converged=False,
                     consistency_hamming=best_ham,
                 )
             # Thresholded to zero with a live gradient: restart from the step.
-            x_next = hard_threshold(-g, k)
+            x_next, keep = _hard_threshold(-g, k)
+        entering = ~held[keep]
+        if entering.any():
+            held[cols] = False
+            held[keep] = True
+            leaving = np.flatnonzero(~held[cols])
+            cols[leaving] = keep[entering]
+            block[leaving] = a.T[cols[leaving]]
         x = x_next
 
     nb = np.linalg.norm(best_x)

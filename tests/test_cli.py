@@ -158,6 +158,18 @@ class TestSweepCmd:
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
 
+    def test_unallocatable_matrix_buffer_exits_2(self, tmp_path, capsys):
+        # At n = 10^7, budget 7N and B = 1 the matrix buffer is 5 PiB, past
+        # the 128 TiB a process can address: the allocation fails whatever
+        # the overcommit setting, and no memory is touched.
+        cfg = write_tiny_config(
+            tmp_path / "cfg.json", n=10**7, k=10, budgets=["7N"], bit_grid=[1], trials=1
+        )
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "cannot allocate the 70000000 x 10000000 matrix buffer" in err
+
     def test_config_errors_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         data = json.loads(write_tiny_config(tmp_path / "base.json").read_text())

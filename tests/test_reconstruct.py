@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import qcslab as q
-from qcslab.reconstruct import _GATHER_BLOCK, _GATHER_ROWS_SHARE, BihtVariant
+from qcslab import reconstruct
+from qcslab.reconstruct import _GATHER_BLOCK, BihtVariant, _gather_rows_share
 
 
 def _instance(n, k, m, seed, sigma_n2=0.0):
@@ -19,10 +22,10 @@ def _biht_dense(phi, y_sign, variant, k, max_iter=100):
     """BIHT as a dense loop: two full products with Phi per iteration.
 
     The reference for q.biht, which gathers columns and rows and so sums
-    in another order. Also returns a trace of the path: the share of
-    sign-disagreeing rows at each gradient step, the number of restarts
-    from -g, and how close the path comes to a tie that rounding could
-    break. "margin" is the least |Phi x| over rows of Phi that are not all
+    in another order. Also returns a trace of the path: the support of
+    each iterate, the share of sign-disagreeing rows at each gradient
+    step, the number of restarts from -g, and how close the path comes to
+    a tie that rounding could break. "margin" is the least |Phi x| over rows of Phi that are not all
     zero, relative to max |Phi x|; "gap" is the least gap between the k-th
     and (k+1)-th largest magnitude at a thresholding, relative to the
     largest (inf when k = n). "ham_lo" and "ham_hi" count, per iteration,
@@ -32,7 +35,7 @@ def _biht_dense(phi, y_sign, variant, k, max_iter=100):
     a = phi.entries
     live = np.any(a != 0.0, axis=1)
     trace = {"shares": [], "restarts": 0, "margin": np.inf, "gap": np.inf,
-             "ham_lo": [], "ham_hi": []}
+             "ham_lo": [], "ham_hi": [], "supports": []}
 
     def threshold(v):
         if k < v.size:
@@ -45,6 +48,7 @@ def _biht_dense(phi, y_sign, variant, k, max_iter=100):
     best_x, best_ham = x.copy(), np.inf
     it = 0
     for it in range(1, max_iter + 1):
+        trace["supports"].append(frozenset(np.flatnonzero(x).tolist()))
         ax = a @ x
         mags = np.abs(ax)
         trace["margin"] = min(trace["margin"], np.min(mags[live]) / np.max(mags))
@@ -292,6 +296,7 @@ class TestBiht:
         # Both variants, m < n and m > n, ISNR 35 and 5 dB: the share of
         # sign-disagreeing rows falls on both sides of the row-gather bound,
         # and below it the gathered rows run to several blocks.
+        bound = _gather_rows_share(256)
         shares, gathered = [], []
         for variant in BihtVariant:
             for m in (160, 640, 1600):
@@ -304,15 +309,86 @@ class TestBiht:
                     ref, trace = _biht_dense(phi, y_s, variant, 4)
                     _assert_matches_dense(res, ref, trace)
                     shares += trace["shares"]
-                    gathered += [
-                        round(s * m) for s in trace["shares"] if s <= _GATHER_ROWS_SHARE
-                    ]
-        assert min(shares) <= _GATHER_ROWS_SHARE < max(shares)
+                    gathered += [round(s * m) for s in trace["shares"] if s <= bound]
+        assert min(shares) <= bound < max(shares)
         assert max(gathered) > 3 * _GATHER_BLOCK
+
+    @pytest.mark.parametrize(
+        "n, k, m, isnr",
+        [
+            # The bound is 1/4 at n = 256 ...
+            (256, 4, 640, 5.0),
+            # ... and 0.436 at n = 1000, where most shares lie between 1/4
+            # and the bound, one just below it and the proxy's above it.
+            (1000, 10, 300, -10.0),
+        ],
+    )
+    def test_row_gather_follows_bound(self, n, k, m, isnr, monkeypatch):
+        gathered = []
+        gather = reconstruct._gather_gradient
+
+        def spy(a, rows, u):
+            gathered.append(rows.size)
+            return gather(a, rows, u)
+
+        monkeypatch.setattr(reconstruct, "_gather_gradient", spy)
+        _, phi, y = _instance(n, k, m, 70 + m, q.sigma_n_for_isnr(k, 1.0, n, isnr))
+        y_s = q.sign_quantize(y)
+        res = q.biht(phi, y_s, k, BihtVariant.ONE_SIDED_L1)
+        ref, trace = _biht_dense(phi, y_s, BihtVariant.ONE_SIDED_L1, k)
+        _assert_matches_dense(res, ref, trace)
+        bound = _gather_rows_share(n)
+        counts = [round(s * m) for s in trace["shares"]]
+        # Every step at or below the bound gathered its rows; every step
+        # above it ran on the full Phi.
+        assert gathered == [c for c in counts if c <= bound * m]
+        assert 0 < len(gathered) < len(counts)
+        # At n = 1000 the gather runs past the fixed 1/4 that n = 256 keeps.
+        assert (max(gathered) > m / 4) == (bound > 1 / 4)
+
+    def test_block_swaps_columns_that_enter_and_leave(self):
+        # biht_l1 at ISNR 5 dB: nearly every step keeps some support columns,
+        # drops others and gains new ones, so the block is refreshed in part,
+        # and the best iterate comes after 75 such steps.
+        _, phi, y = _instance(256, 8, 512, 81, q.sigma_n_for_isnr(8, 1.0, 256, 5.0))
+        y_s = q.sign_quantize(y)
+        res = q.biht(phi, y_s, 8, BihtVariant.ONE_SIDED_L1)
+        ref, trace = _biht_dense(phi, y_s, BihtVariant.ONE_SIDED_L1, 8)
+        _assert_matches_dense(res, ref, trace)
+        supports = trace["supports"]
+        mixed = [s & t and s - t and t - s for s, t in zip(supports, supports[1:])]
+        assert sum(map(bool, mixed)) > 90
+        assert np.argmin(trace["ham_lo"]) > 50
+
+    def test_block_with_frozen_support(self):
+        # biht_l2 at ISNR 35 dB: the support changes in the first half of
+        # the run, then holds for the rest, so the block is left as it is.
+        _, phi, y = _instance(256, 4, 1600, 1670, q.sigma_n_for_isnr(4, 1.0, 256, 35.0))
+        y_s = q.sign_quantize(y)
+        res = q.biht(phi, y_s, 4, BihtVariant.ONE_SIDED_L2)
+        ref, trace = _biht_dense(phi, y_s, BihtVariant.ONE_SIDED_L2, 4)
+        _assert_matches_dense(res, ref, trace)
+        supports = trace["supports"]
+        assert res.iterations == 100 and len(set(supports)) > 1
+        assert len(set(supports[50:])) == 1
+
+    def test_peak_memory_below_an_eighth_of_phi(self):
+        # biht holds a k x m block, one 64-row gather and vectors of length
+        # m or n (about 0.7 MB here); a copy or transpose of the whole Phi
+        # (16 MB) would break the limit.
+        _, phi, y = _instance(512, 8, 4096, 90, q.sigma_n_for_isnr(8, 1.0, 512, 5.0))
+        y_s = q.sign_quantize(y)
+        tracemalloc.start()
+        try:
+            q.biht(phi, y_s, 8, BihtVariant.ONE_SIDED_L1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= phi.entries.nbytes / 8
 
     @pytest.mark.parametrize("variant", list(BihtVariant))
     def test_dense_iterate_matches_reference(self, variant):
-        # k = n: the forward product gathers every column.
+        # k = n: the block holds every column of Phi.
         _, phi, y = _instance(64, 64, 256, 11, sigma_n2=0.1)
         y_s = q.sign_quantize(y)
         res = q.biht(phi, y_s, 64, variant)
