@@ -119,6 +119,21 @@ def _out_dir(args) -> Path:
     return out
 
 
+@contextmanager
+def _sweep_out_dir(args):
+    """_out_dir, made before the sweep so that an unusable --out fails
+    first; a QcsLabError raised in the block removes it again if this call
+    made it and it is still empty."""
+    made = not Path(args.out).exists()
+    out = _out_dir(args)
+    try:
+        yield out
+    except QcsLabError:
+        if made and not any(out.iterdir()):
+            out.rmdir()
+        raise
+
+
 def _add_common(parser):
     parser.add_argument("--out", default="qcslab_out", help="output directory")
 
@@ -299,8 +314,8 @@ def _sweep_svgs(cfg: ExperimentConfig, table: ResultTable, out: Path) -> None:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_sweep_config(args)
-    out = _out_dir(args)
-    table = run_sweep(cfg, record_timing=args.timing)
+    with _sweep_out_dir(args) as out:
+        table = run_sweep(cfg, record_timing=args.timing)
     write_results(table, out / "results.csv")
     write_aggregates(table, out / "aggregates.csv")
     _sweep_svgs(cfg, table, out)
@@ -310,9 +325,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_regime_map(args) -> int:
     cfg = _load_sweep_config(args)
-    out = _out_dir(args)
-    budget = parse_budget(args.budget, cfg.n)
-    points, table = regime_map(cfg, budget)
+    with _sweep_out_dir(args) as out:
+        budget = parse_budget(args.budget, cfg.n)
+        points, table = regime_map(cfg, budget)
     tag = str(budget)
     (out / f"regime_map_budget{tag}.csv").write_text(
         _to_csv(points, RegimePoint), encoding="utf-8"

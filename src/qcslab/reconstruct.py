@@ -1,10 +1,9 @@
 """Sparse reconstruction algorithms and recovery metrics.
 
 Provides oracle-assisted least squares on a known support, an l1
-minimizer subject to an l2 data-fidelity ball (solved with an adaptive
-primal-dual iteration plus a final minimum-norm feasibility polish), and
-binary iterative hard thresholding in its one-sided l1 and l2 variants
-for sign measurements.
+minimizer subject to an l2 data-fidelity ball (solved exactly by the l1
+homotopy, with a KKT certificate), and binary iterative hard
+thresholding in its one-sided l1 and l2 variants for sign measurements.
 """
 
 from __future__ import annotations
@@ -78,65 +77,150 @@ def _hard_threshold(v: np.ndarray, k: int):
     return out, keep
 
 
-def _operator_norm(a: np.ndarray, iters: int = 60) -> float:
-    # Deterministic power iteration on A^T A.
-    v = np.ones(a.shape[1]) / math.sqrt(a.shape[1])
-    est = 0.0
-    for _ in range(iters):
-        w = a.T @ (a @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        est = nw
-        v = w / nw
-    return math.sqrt(est)
+# Steps between exact recomputations of the path point, the residual and
+# the correlations; in between, the correlations and the squared residual
+# norm are updated along the path. Also the number of rank-one terms the
+# inverse Gram matrix gathers before they are folded in (_ActiveSet).
+_REFRESH_STEPS = 32
+# An entering column whose squared distance from the span of the active
+# columns is at most this share of its squared norm counts as dependent.
+_DEPENDENT_TOL = 1e-10
+# A segment whose updated squared residual norm ends within this share of
+# eps^2 is checked again on an exactly recomputed residual before bpdn
+# steps through it, so that update drift never skips the stopping point.
+# On the qcsbench ci_sweep, fig3_bpdn and a budget-7N fig3 slice the
+# updated value drifted at most 3e-11 of the exact one between
+# recomputations.
+_STOP_MARGIN = 1e-3
 
 
-def _feasibility_polish(a: np.ndarray, y: np.ndarray, x: np.ndarray, eps: float):
-    """Minimal l2 correction moving x onto the fidelity ball, if reachable.
+class _ActiveSet:
+    """The active columns of the l1 path and the inverse of their Gram matrix.
 
-    The correction d is the minimum-norm least-squares solution of
-    A d = r for the residual r = y - A x, from a Gram matrix formed here
-    only: d = A^T (A A^T)^-1 r when m <= n, d = (A^T A)^-1 A^T r when
-    m > n. A singular Gram matrix (rank-deficient A, such as one with a
-    zero row or column) falls back to its pseudo-inverse.
+    Entry i belongs to column idx[i] of Phi, with path sign sign[i] and
+    coefficient x[i]. Row i of rows holds Phi^T phi_idx[i], so the Gram
+    matrix of the active columns is rows[:k, idx[:k]]. Its inverse is
+    held as base[:k, :k] + U diag(weights) U^T with U = lowrank[:k, :r]:
+    adding a column appends one rank-one term (the bordered inverse's
+    Schur complement), and so does removing one (its downdate). When
+    _REFRESH_STEPS terms have gathered, one matrix product folds them into
+    base. A step so costs O(k^2) in BLAS products and never an
+    elementwise pass over k x k entries, which at k = 900 takes longer
+    than the product with the inverse. Every buffer is sized for min(m, n)
+    columns and updated in place.
     """
+
+    def __init__(self, a: np.ndarray):
+        cap = min(a.shape)
+        self.a = a
+        self.k = 0
+        self.idx = np.empty(cap, dtype=np.intp)
+        self.sign = np.empty(cap)
+        self.x = np.empty(cap)
+        self.rows = np.empty((cap, a.shape[1]))
+        self.base = np.empty((cap, cap))
+        self.lowrank = np.empty((cap, _REFRESH_STEPS))
+        self.weights = np.empty(_REFRESH_STEPS)
+        self.r = 0
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """The inverse Gram matrix times v."""
+        k, r = self.k, self.r
+        u = self.lowrank[:k, :r]
+        return self.base[:k, :k] @ v + u @ (self.weights[:r] * (v @ u))
+
+    def _append_term(self, vec: np.ndarray, weight: float) -> None:
+        r = self.r
+        self.lowrank[: vec.size, r] = vec
+        self.weights[r] = weight
+        self.r = r + 1
+        if self.r == _REFRESH_STEPS:
+            k = self.k
+            u = self.lowrank[:k]
+            self.base[:k, :k] += (u * self.weights) @ u.T
+            self.r = 0
+
+    def add(self, j: int, sign: float) -> bool:
+        """Append column j to a set with room for it; False, leaving the
+        set as it was, if j depends on the active columns."""
+        k = self.k
+        row = self.rows[k]
+        np.matmul(self.a[:, j], self.a, out=row)
+        b = self.rows[:k, j]
+        u = self.apply(b)
+        schur = row[j] - float(b @ u)
+        if not schur > _DEPENDENT_TOL * row[j]:
+            return False
+        self.base[k, : k + 1] = 0.0
+        self.base[:k, k] = 0.0
+        self.lowrank[k, : self.r] = 0.0
+        self.idx[k], self.sign[k], self.x[k] = j, sign, 0.0
+        self.k = k + 1
+        self._append_term(np.append(u, -1.0), 1.0 / schur)
+        return True
+
+    def remove(self, p: int) -> None:
+        """Drop entry p; the last entry takes its place."""
+        q = self.k - 1
+        base, u = self.base, self.lowrank[: q + 1, : self.r]
+        if p != q:
+            pq, qp = [p, q], [q, p]
+            for arr in (self.idx, self.sign, self.x, self.rows, self.lowrank):
+                arr[pq] = arr[qp]
+            base[pq, : q + 1] = base[qp, : q + 1]
+            base[: q + 1, pq] = base[: q + 1, qp]
+        col = base[: q + 1, q] + u @ (self.weights[: self.r] * u[q])
+        self.k = q
+        self._append_term(col[:q], -1.0 / col[q])
+
+    def solve(self, rhs: np.ndarray, gram: np.ndarray) -> np.ndarray:
+        """Gram^-1 rhs from the inverse, refined once against the Gram matrix."""
+        z = self.apply(rhs)
+        z += self.apply(rhs - gram @ z)
+        return z
+
+    def estimate(self) -> np.ndarray:
+        out = np.zeros(self.a.shape[1])
+        out[self.idx[: self.k]] = self.x[: self.k]
+        return out
+
+
+def _first_entry(c, slope, lam, free, left, left_sign):
+    """Smallest step gamma >= 0 at which |c_j - gamma slope_j| reaches
+    lam - gamma for a free j: (gamma, j, sign of c_j there).
+
+    Index left has just left the active set with sign left_sign, so its
+    correlation starts at left_sign lam; only its crossing of the
+    opposite bound counts.
+    """
+    best = (math.inf, -1, 0.0)
+    for sign in (1.0, -1.0):
+        den = 1.0 - sign * slope
+        num = np.maximum(lam - sign * c, 0.0)
+        gam = np.full(c.size, math.inf)
+        np.divide(num, den, out=gam, where=free & (den > 1e-12))
+        if sign == left_sign:
+            gam[left] = math.inf
+        j = int(np.argmin(gam))
+        if gam[j] < best[0]:
+            best = (float(gam[j]), j, sign)
+    return best
+
+
+def _kkt_certified(a: np.ndarray, y: np.ndarray, x: np.ndarray, eps: float, lam: float) -> bool:
+    """Whether x minimizes ||x||_1 subject to ||y - Phi x|| <= eps, with
+    multiplier lam, checked on a freshly computed residual r = y - Phi x:
+    ||r|| <= eps (1 + 1e-9) + 1e-12, ||Phi^T r||_inf <= lam (1 + 1e-6), and
+    Phi_S^T r = lam sign(x_S) within 1e-6 lam on the support S of x."""
     r = y - a @ x
-    rn = float(np.linalg.norm(r))
-    if rn <= eps:
-        return x, True
-    wide = a.shape[0] <= a.shape[1]
-    gram = a @ a.T if wide else a.T @ a
-    rhs = r if wide else a.T @ r
-    try:
-        z = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        z = np.linalg.pinv(gram, hermitian=True) @ rhs
-    d = a.T @ z if wide else z
-    ad = a @ d
-    proj_sq = float(ad @ ad)
-    out_sq = max(rn * rn - proj_sq, 0.0)
-    if proj_sq == 0.0:
-        return x, False
-    if eps * eps < out_sq:
-        # Fidelity ball does not intersect the affine slice along d.
-        return x + d, False
-    t = 1.0 - math.sqrt(max(eps * eps - out_sq, 0.0) / proj_sq)
-    t = min(max(t, 0.0), 1.0)
-    x_new = x + t * d
-    feasible = float(np.linalg.norm(y - a @ x_new)) <= eps * (1.0 + 1e-9) + 1e-12
-    return x_new, feasible
-
-
-# Residual balancing of the primal and dual steps (Goldstein, Esser &
-# Baraniuk, arXiv:1305.0546): the initial trade factor, its decay per
-# adaptation, and the residual ratio that triggers one.
-_ADAPT_ALPHA0 = 0.5
-_ADAPT_ETA = 0.95
-_ADAPT_DELTA = 1.5
-# bpdn's stopping tolerance: the relative change of the l1 objective that
-# counts as stationary; a thousandth of it is the residual test's slack.
-_STOP_TOL = 1e-6
+    if not float(np.linalg.norm(r)) <= eps * (1.0 + 1e-9) + 1e-12:
+        return False
+    c = a.T @ r
+    sup = np.flatnonzero(x)
+    return (
+        float(np.max(np.abs(c))) <= lam * (1.0 + 1e-6)
+        and float(np.max(np.abs(c[sup] - lam * np.sign(x[sup])))) <= 1e-6 * lam
+    )
 
 
 def bpdn(
@@ -147,18 +231,25 @@ def bpdn(
 ) -> ReconResult:
     """Minimize ||x||_1 subject to ||y - Phi x||_2 <= eps.
 
-    Runs the Chambolle-Pock primal-dual iteration on the constrained
-    form with adaptive steps: tau * sigma stays (0.99 / ||Phi||)^2, and
-    every 10 iterations tau is traded against sigma to balance the
-    primal residual ||x - x+|| / tau against the dual residual
-    ||(p - p+) / sigma + Phi x_bar - Phi x+|| (Goldstein, Esser &
-    Baraniuk). Phi x is kept current, so each iteration makes one
-    product with Phi and one with Phi^T. The iteration stops when the l1
-    objective is stationary and the residual is within eps (1 + 1e-3).
-    A final minimum-norm polish then moves the iterate onto the fidelity
-    ball; a converged result is stationary and has
-    ||y - Phi x|| <= eps (1 + 1e-9) + 1e-12, checked against the full Phi
-    and y.
+    Follows the l1 homotopy (LASSO path; Osborne, Presnell & Turlach
+    2000; Donoho & Tsaig 2008): the minimizer of
+    ||y - Phi x||^2 / 2 + lam ||x||_1 is piecewise linear in lam, from
+    x = 0 at lam = ||Phi^T y||_inf downward, and its residual norm falls
+    as lam does. Each path step moves to the next breakpoint, where one
+    index joins the active set or leaves it; a column that depends on the
+    active ones is passed over until an index leaves. The step on which
+    the residual norm reaches eps stops at that point, a root of
+    ||r - gamma w||^2 = eps^2, found on an exactly recomputed residual.
+    The cost of a step follows the active set's size k: O(k n + k^2),
+    plus one product with Phi for a joining index and every
+    _REFRESH_STEPS steps.
+
+    iterations counts path steps, and max_iter caps them. converged is a
+    KKT certificate on the returned x (_kkt_certified): feasible, and
+    optimal for the path's final lam. Its tolerances are relative to lam,
+    so when lam falls below about 1e-9 ||Phi^T y||_inf (a y that a sparse
+    x fits almost exactly, with a tiny eps) rounding in Phi^T r can fail
+    it on an x that is optimal to working precision.
     """
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
@@ -169,59 +260,110 @@ def bpdn(
     if y.shape != (phi.rows,):
         raise DimensionMismatchError("measurement length != matrix rows")
 
+    n = phi.cols
     if np.linalg.norm(y) <= eps:
-        return ReconResult(
-            estimate=np.zeros(phi.cols), iterations=0, converged=True
-        )
+        return ReconResult(estimate=np.zeros(n), iterations=0, converged=True)
+    corr_y = a.T @ y
+    j = int(np.argmax(np.abs(corr_y)))
+    lam = float(abs(corr_y[j]))
+    if lam == 0.0:
+        return ReconResult(estimate=np.zeros(n), iterations=0, converged=False)
 
-    lip = _operator_norm(a)
-    if lip == 0.0:
-        return ReconResult(
-            estimate=np.zeros(phi.cols), iterations=0, converged=False
-        )
-    tau = 0.99 / lip
-    sigma = 0.99 / lip
-    alpha = _ADAPT_ALPHA0
-
-    x = np.zeros(phi.cols)
-    ax = np.zeros(phi.rows)
-    ax_bar = ax
-    p = np.zeros(phi.rows)
-    obj_prev = math.inf
-    stationary = False
+    act = _ActiveSet(a)
+    act.add(j, float(np.sign(corr_y[j])))
+    # Columns found dependent on the active ones; cleared when one leaves.
+    passed = np.zeros(n, dtype=bool)
+    c = corr_y.copy()
+    rr = float(y @ y)
+    eps2 = eps * eps
+    # The entry that just joined, and the index that just left with its sign.
+    joined, left, left_sign = 0, -1, 0.0
+    exact = False  # whether x, c and rr were just recomputed at lam
+    since = 0
     it = 0
-    for it in range(1, max_iter + 1):
-        # Dual step in Moreau form: p+ = sigma (w - proj_ball(w)).
-        dev = p / sigma + ax_bar - y
-        dn = math.sqrt(float(dev @ dev))
-        p_new = (sigma * (1.0 - eps / dn) if dn > eps else 0.0) * dev
-        v = x - tau * (a.T @ p_new)
-        x_new = v - v.clip(-tau, tau)
-        ax_new = a @ x_new
-        ax_bar_prev = ax_bar
-        ax_bar = 2.0 * ax_new - ax
-        if it % 10 == 0:
-            obj = float(np.sum(np.abs(x_new)))
-            resid = float(np.linalg.norm(y - ax_new))
-            obj_gap = abs(obj - obj_prev) <= _STOP_TOL * max(obj, 1e-12)
-            feas_gap = resid <= eps * (1.0 + 1e-3) + _STOP_TOL * 1e-3
-            if obj_gap and feas_gap:
-                x = x_new
-                stationary = True
-                break
-            obj_prev = obj
-            primal = float(np.linalg.norm(x - x_new)) / tau
-            dual = float(np.linalg.norm((p - p_new) / sigma + ax_bar_prev - ax_new))
-            if primal > _ADAPT_DELTA * dual:
-                tau, sigma = tau / (1.0 - alpha), sigma * (1.0 - alpha)
-                alpha *= _ADAPT_ETA
-            elif dual > _ADAPT_DELTA * primal:
-                tau, sigma = tau * (1.0 - alpha), sigma / (1.0 - alpha)
-                alpha *= _ADAPT_ETA
-        x, ax, p = x_new, ax_new, p_new
+    while it < max_iter:
+        k = act.k
+        idx, s, xs = act.idx[:k], act.sign[:k], act.x[:k]
+        if exact:
+            gram = act.rows[:k, idx]
+            xs[:] = act.solve(corr_y[idx] - lam * s, gram)
+            d = act.solve(s, gram)
+            r = y - a @ act.estimate()
+            c = a.T @ r
+            rr = float(r @ r)
+            since = 0
+        else:
+            d = act.apply(s)
+        # Along the step gamma, x_S grows by gamma d, lam falls by gamma,
+        # r by gamma w with w = Phi_S d, and c = Phi^T r by gamma slope;
+        # ||w||^2 = s^T d and r^T w = lam s^T d.
+        sd = float(s @ d)
+        if not sd > 0.0:
+            break
+        slope = d @ act.rows[:k]
+        gam_in, j_in, s_in = math.inf, -1, 0.0
+        if k < act.idx.size:  # a full set spans every column: none can join
+            free = ~passed
+            free[idx] = False
+            gam_in, j_in, s_in = _first_entry(c, slope, lam, free, left, left_sign)
+        shrinking = (np.signbit(xs) != np.signbit(d)) & (np.abs(xs) < lam * np.abs(d))
+        if joined >= 0:
+            shrinking[joined] = False
+        gam_out, p_out = math.inf, -1
+        if shrinking.any():
+            ratios = np.full(k, math.inf)
+            np.divide(-xs, d, out=ratios, where=shrinking)
+            p_out = int(np.argmin(ratios))
+            gam_out = float(ratios[p_out])
+        gam = min(gam_in, gam_out, lam)
 
-    x, feasible = _feasibility_polish(a, y, x, eps)
-    return ReconResult(estimate=x, iterations=it, converged=stationary and feasible)
+        if rr - gam * (2.0 * lam - gam) * sd <= eps2 * (1.0 + _STOP_MARGIN):
+            if not exact:
+                exact = True
+                continue
+            d_full = np.zeros(n)
+            d_full[idx] = d
+            w = a @ d_full
+            ww = float(w @ w)
+            # ||r - gamma w||^2 = rho^2 + ww (g_min - gamma)^2, with the
+            # segment's least residual rho taken from its own vector: from
+            # rr, (r^T w)^2 / ww and eps^2, the difference that gives the
+            # root cancels when rho << eps.
+            g_min = float(r @ w) / ww
+            r_min = r - g_min * w
+            rho2 = float(r_min @ r_min)
+            if rho2 + ww * (g_min - gam) ** 2 <= eps2:
+                # The smaller root; negative if the residual already fell
+                # below eps within this segment.
+                stop = g_min - math.sqrt((eps2 - rho2) / ww)
+                xs += stop * d
+                lam -= stop
+                it += 1
+                break
+
+        xs += gam * d
+        c -= gam * slope
+        rr -= gam * (2.0 * lam - gam) * sd
+        lam -= gam
+        it += 1
+        if lam == 0.0:
+            break  # the path ended above eps: no x is feasible
+        since += 1
+        exact = since >= _REFRESH_STEPS
+        joined, left, left_sign = -1, -1, 0.0
+        if gam == gam_out:
+            left, left_sign = int(idx[p_out]), float(s[p_out])
+            passed[:] = False
+            act.remove(p_out)
+        elif act.add(j_in, s_in):
+            joined = act.k - 1
+        else:
+            passed[j_in] = True
+
+    x = act.estimate()
+    return ReconResult(
+        estimate=x, iterations=it, converged=_kkt_certified(a, y, x, eps, lam)
+    )
 
 
 def _sign_mismatch(ax: np.ndarray, y_sign: np.ndarray) -> np.ndarray:

@@ -165,10 +165,16 @@ class TestSweepCmd:
         cfg = write_tiny_config(
             tmp_path / "cfg.json", n=10**7, k=10, budgets=["7N"], bit_grid=[1], trials=1
         )
-        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "cannot allocate the 70000000 x 10000000 matrix buffer" in err
+        assert not out.exists()
+        # A directory that was there before the run stays.
+        out.mkdir()
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert out.is_dir()
 
     def test_config_errors_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -255,6 +261,14 @@ class TestRegimeMapCmd:
     def test_budget_required(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")
         assert main(["regime-map", "--config", str(cfg)]) == 1
+
+    def test_bad_budget_exits_1_leaving_no_out_dir(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert main(["regime-map", "--config", str(cfg), "--budget", "soupN",
+                     "--out", str(out)]) == 1
+        assert "config error: budgets:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPresetsCmd:

@@ -154,6 +154,23 @@ class TestOracleLs:
         assert np.array_equal(q.uniform_quantize(phi.entries @ x_hat, t, 4), y_q)
 
 
+def _assert_kkt(a, y, x_hat, eps):
+    """The optimality conditions of min ||x||_1 s.t. ||y - a x|| <= eps,
+    from the estimate alone: the residual sits on the ball, and its
+    correlations c = a^T r share one magnitude lam on the support, with
+    the signs of the estimate, and exceed it nowhere."""
+    r = y - a @ x_hat
+    c = a.T @ r
+    sup = np.flatnonzero(x_hat)
+    assert sup.size > 0
+    lam = float(np.max(np.abs(c[sup])))
+    assert lam > 0.0
+    assert abs(float(np.linalg.norm(r)) - eps) <= 1e-9 * eps
+    assert np.all(np.abs(np.abs(c[sup]) - lam) <= 1e-6 * lam)
+    assert np.array_equal(np.sign(c[sup]), np.sign(x_hat[sup]))
+    assert float(np.max(np.abs(c))) <= lam * (1 + 1e-6)
+
+
 class TestBpdn:
     def test_zero_when_eps_dominates(self):
         _, phi, y = _instance(100, 3, 40, 1)
@@ -193,7 +210,7 @@ class TestBpdn:
 
     @pytest.mark.parametrize("m", [128, 192])
     def test_square_and_tall_feasibility_and_l1(self, m):
-        # m = n and m = 1.5 n: the polish takes its m <= n and m > n paths.
+        # m = n and m = 1.5 n: the active set can hold every column.
         for seed in range(3):
             x, phi, y = _instance(128, 4, m, 60 + seed)
             y_q = q.uniform_quantize(y, q.dynamic_range(y), 3)
@@ -207,18 +224,83 @@ class TestBpdn:
 
     @pytest.mark.parametrize("m", [30, 60])
     def test_rank_deficient_matrix_polished(self, m):
-        # A zero row and a zero column make both Gram matrices singular.
+        # A zero row, a zero column and a repeated column: both Gram
+        # matrices are singular, and the repeated column's correlation
+        # with the residual equals its twin's all along the path.
         x, phi, _ = _instance(40, 2, m, 90)
         entries = phi.entries.copy()
         entries[3, :] = 0.0
         entries[:, 5] = 0.0
+        entries[:, 7] = entries[:, x.support[0]]
         phi = q.SensingMatrix(entries)
         y = entries @ x.values
         y_q = q.uniform_quantize(y, q.dynamic_range(y), 3)
         eps = float(np.linalg.norm(y - y_q))
-        res = q.bpdn(phi, y_q, eps)
+        with np.errstate(all="raise"):
+            res = q.bpdn(phi, y_q, eps)
         assert res.converged
         assert float(np.linalg.norm(y_q - entries @ res.estimate)) <= eps * (1 + 1e-6) + 1e-12
+        _assert_kkt(entries, y_q, res.estimate, eps)
+
+    @pytest.mark.parametrize("m", [64, 128, 192])
+    def test_certificate_from_estimate(self, m):
+        # m < n, m = n and m > n, with signal noise so that no sparse
+        # vector fits y exactly.
+        for seed in range(3):
+            x, phi, y = _instance(128, 4, m, 40 + seed, sigma_n2=0.01)
+            y_q = q.uniform_quantize(y, q.dynamic_range(y), 3)
+            eps = float(np.linalg.norm(y - y_q))
+            res = q.bpdn(phi, y_q, eps)
+            assert res.converged
+            _assert_kkt(phi.entries, y_q, res.estimate, eps)
+
+    @pytest.mark.parametrize("seed", [12, 14, 26])
+    def test_eps_just_above_least_squares_residual(self, seed):
+        # A tall Phi and measurement noise outside its range, with eps 0.1%
+        # above the least-squares residual: the path runs almost to its
+        # end, where an index that leaves has to rejoin with the other sign.
+        rng = np.random.default_rng(seed)
+        x = q.gen_sparse_signal(30, 4, 1.0, rng)
+        phi = q.gen_gaussian_matrix(45, 30, rng)
+        y = phi.entries @ x.values + 0.05 * rng.standard_normal(45)
+        fit = np.linalg.lstsq(phi.entries, y, rcond=None)[0]
+        eps = 1.001 * float(np.linalg.norm(y - phi.entries @ fit))
+        res = q.bpdn(phi, y, eps)
+        assert res.converged
+        _assert_kkt(phi.entries, y, res.estimate, eps)
+
+    def test_active_set_inverse_matches_dense_solve(self):
+        # Adds and removes enough columns to fold the rank-one terms into
+        # the stored inverse several times; a column in the span of the
+        # active ones, and a zero column, are refused and change nothing.
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((60, 40))
+        a[:, 10] = a[:, 0] - 2.0 * a[:, 1]
+        a[:, 11] = 0.0
+        act = reconstruct._ActiveSet(a)
+        members = []
+        for _ in range(4 * reconstruct._REFRESH_STEPS):
+            if len(members) == 28 or (len(members) > 5 and rng.random() < 0.4):
+                p = int(rng.integers(len(members)))
+                act.remove(p)
+                members[p] = members[-1]
+                members.pop()
+            else:
+                j = int(rng.choice(np.setdiff1d(np.arange(12, 40), members)))
+                assert act.add(j, 1.0)
+                members.append(j)
+            assert list(act.idx[: act.k]) == members
+            v = rng.standard_normal(act.k)
+            sub = a[:, members]
+            assert np.allclose(act.apply(v), np.linalg.solve(sub.T @ sub, v), rtol=1e-9, atol=1e-12)
+        for j in (0, 1):
+            if j not in members:
+                assert act.add(j, 1.0)
+                members.append(j)
+        k = act.k
+        assert not act.add(10, 1.0)
+        assert not act.add(11, 1.0)
+        assert act.k == k and list(act.idx[:k]) == members
 
     def test_iteration_cap_reported(self):
         _, phi, y = _instance(256, 4, 100, 70)
