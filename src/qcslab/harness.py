@@ -378,7 +378,25 @@ def aggregate(rows: List[TrialResult]) -> List[AggregateRow]:
     return out
 
 
+# Largest n at which run_sweep runs every trial in the calling thread;
+# above it the trials go to a thread pool. A trial is mostly short numpy
+# calls with Python between them, so a second thread mostly waits for the
+# GIL; it overlaps only the calls that release it (the matrix draw, BLAS
+# and LAPACK), which weigh enough for the pool to pay at larger n.
+# Measured with BLAS on one thread, 2 vCPUs, trials per second of one
+# worker against two, medians of 6 interleaved pairs (BENCH_14.json):
+# - n=256: the ci grid 95 against 62, BPDN-only 106 against 87, 1-bit
+#   only 32 against 22; oracle-only ties (725 against 738, 3 of 6 pairs
+#   each way);
+# - n=320: oracle-only favours the pool, 500 against 638 (6 of 6 pairs),
+#   while the ci grid still gives 67 against 51;
+# - n=512: oracle-only 233 against 325, 1-bit only 13.6 against 14.3.
+# At n=128 and 192 one worker won every pair of every grid.
+_SERIAL_MAX_N = 256
+
+
 def _worker_count() -> int:
+    """The most workers a sweep may use: QCSLAB_THREADS, else the CPU count."""
     env = os.environ.get(THREADS_ENV_VAR)
     if not env:
         return os.cpu_count() or 1
@@ -391,16 +409,29 @@ def _worker_count() -> int:
     return count
 
 
+def _map_trials(attempt, tasks, workers: int):
+    """attempt over tasks in order: in the calling thread for one worker,
+    else on a pool of that many threads."""
+    if workers == 1:
+        yield from map(attempt, tasks)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(attempt, tasks)
+
+
 def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable:
     """Run every (budget, bit depth, ISNR) tuple over all trials.
 
     Tuples that cannot be executed (m < 1, m < k, m > n for a tight
     frame, or no applicable algorithm) are skipped with a recorded
     reason; a failing trial is recorded and does not abort the sweep.
-    Trials run on a thread pool of QCSLAB_THREADS workers (default: the
-    CPU count). Each worker draws its matrices into one buffer sized for
-    the largest, so peak memory is about workers x the largest matrix; a
-    buffer that cannot be allocated raises QcsLabError naming its size.
+    Up to n = _SERIAL_MAX_N every trial runs in the calling thread;
+    above it the trials run on a thread pool of min(QCSLAB_THREADS, trial
+    count) workers, where QCSLAB_THREADS defaults to the CPU count and is
+    validated at every n. Each worker draws its matrices into one buffer
+    sized for the largest, so peak memory is about the workers used x the
+    largest matrix; a buffer that cannot be allocated raises QcsLabError
+    naming its size.
     Output ordering is tuple-major then trial-major and independent of
     the worker count. Wall times are recorded only with record_timing,
     keeping default output bytes reproducible run to run.
@@ -440,13 +471,14 @@ def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable
         except (QcsLabError, np.linalg.LinAlgError) as exc:
             return f"trial {trial} failed: {exc}"
 
+    cap = _worker_count()  # validated whether or not a pool runs
+    workers = 1 if cfg.n <= _SERIAL_MAX_N else max(1, min(cap, len(tasks)))
     rows: List[TrialResult] = []
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        for (tup, _), outcome in zip(tasks, pool.map(_attempt, tasks)):
-            if isinstance(outcome, str):
-                skips.append(SkipRecord(*tup, outcome))
-            else:
-                rows.extend(outcome)
+    for (tup, _), outcome in zip(tasks, _map_trials(_attempt, tasks, workers)):
+        if isinstance(outcome, str):
+            skips.append(SkipRecord(*tup, outcome))
+        else:
+            rows.extend(outcome)
 
     aggregates = aggregate(rows) if rows else []
     return ResultTable(rows=rows, aggregates=aggregates, skips=skips)

@@ -246,10 +246,12 @@ def bpdn(
 
     iterations counts path steps, and max_iter caps them. converged is a
     KKT certificate on the returned x (_kkt_certified): feasible, and
-    optimal for the path's final lam. Its tolerances are relative to lam,
-    so when lam falls below about 1e-9 ||Phi^T y||_inf (a y that a sparse
-    x fits almost exactly, with a tiny eps) rounding in Phi^T r can fail
-    it on an x that is optimal to working precision.
+    optimal for the path's final lam. Its tolerances are relative to lam.
+    When lam falls below about 1e-9 ||Phi^T y||_inf (a y that a sparse x
+    fits almost exactly, with a tiny eps) and the path's x_S misses the
+    check, x_S is refined once at that lam and kept if it certifies; below
+    about 5e-10 rounding in Phi^T r can still fail it on an x that is
+    optimal to working precision.
     """
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
@@ -361,9 +363,20 @@ def bpdn(
             passed[j_in] = True
 
     x = act.estimate()
-    return ReconResult(
-        estimate=x, iterations=it, converged=_kkt_certified(a, y, x, eps, lam)
-    )
+    converged = _kkt_certified(a, y, x, eps, lam)
+    if not converged:
+        # One Newton step on Phi_S^T (y - Phi_S x_S) = lam s at the final
+        # lam, from a fresh residual: at a near-exact fit lam is so small
+        # that the path's own x_S can miss it by more than the tolerance.
+        k = act.k
+        idx = act.idx[:k]
+        cols = a[:, idx]
+        refined = x.copy()
+        refined[idx] += act.solve(cols.T @ (y - cols @ x[idx]) - lam * act.sign[:k],
+                                  act.rows[:k, idx])
+        if _kkt_certified(a, y, refined, eps, lam):
+            x, converged = refined, True
+    return ReconResult(estimate=x, iterations=it, converged=converged)
 
 
 def _sign_mismatch(ax: np.ndarray, y_sign: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import qcslab as q
+from qcslab import harness
 from qcslab.presets import sweep_preset
 
 
@@ -318,38 +319,55 @@ def test_criterion_09_quantizer_properties():
 
 
 def test_criterion_10_determinism(tmp_path, child_env):
-    cfg = q.ExperimentConfig(
-        n=64,
-        k=2,
-        budgets=["2N"],
-        bit_grid=[1, 2, 4],
-        isnr_list=[10.0],
-        trials=3,
-        master_seed=99,
-    )
-    cfg_path = tmp_path / "cfg.json"
-    q.write_config(cfg, cfg_path)
-    digests = []
-    for i, threads in enumerate(("1", "2", "2")):
-        out = tmp_path / f"out{i}"
-        env = dict(child_env, QCSLAB_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-m", "qcslab.cli", "sweep", "--config", str(cfg_path),
-             "--out", str(out)],
-            capture_output=True,
-            env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        digests.append(
-            {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        )
-    names = set(digests[0])
-    ok = (
-        names == {"results.csv", "aggregates.csv", "rsnr_vs_budget_isnr10.svg"}
+    # n=64 runs every trial in the calling thread at any QCSLAB_THREADS;
+    # the second config is just large enough for the thread pool.
+    configs = [
+        q.ExperimentConfig(
+            n=64,
+            k=2,
+            budgets=["2N"],
+            bit_grid=[1, 2, 4],
+            isnr_list=[10.0],
+            trials=3,
+            master_seed=99,
+        ),
+        q.ExperimentConfig(
+            n=harness._SERIAL_MAX_N + 1,
+            k=2,
+            budgets=["1N"],
+            bit_grid=[1, 4],
+            isnr_list=[10.0],
+            trials=2,
+            master_seed=99,
+        ),
+    ]
+    runs = []
+    for c, cfg in enumerate(configs):
+        cfg_path = tmp_path / f"cfg{c}.json"
+        q.write_config(cfg, cfg_path)
+        digests = []
+        for i, threads in enumerate(("1", "2", "2")):
+            out = tmp_path / f"out{c}-{i}"
+            env = dict(child_env, QCSLAB_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "qcslab.cli", "sweep", "--config", str(cfg_path),
+                 "--out", str(out)],
+                capture_output=True,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(
+                {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            )
+        runs.append(digests)
+    ok = all(
+        set(digests[0]) == {"results.csv", "aggregates.csv", "rsnr_vs_budget_isnr10.svg"}
         and digests[0] == digests[1] == digests[2]
+        for digests in runs
     )
     _verdict(10, "byte-identical outputs across reruns and thread counts", ok)
-    assert digests[0] == digests[1] == digests[2]
+    for digests in runs:
+        assert digests[0] == digests[1] == digests[2]
 
 
 def test_supporting_oracle_dominance(ci_table):

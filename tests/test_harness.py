@@ -1,5 +1,7 @@
 import math
 import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcslab as q
+from qcslab import harness
 from qcslab.cli import main
 from qcslab.harness import (
     AGGREGATE_COLUMNS,
@@ -198,6 +201,41 @@ class TestRunSweep:
         monkeypatch.setenv("QCSLAB_THREADS", value)
         with pytest.raises(q.ConfigError, match="QCSLAB_THREADS"):
             q.run_sweep(tiny_config())
+
+    def test_small_n_runs_every_trial_in_the_calling_thread(self, monkeypatch):
+        callers = []
+        run_trial = harness.run_trial
+
+        def recorded(*args, **kwargs):
+            callers.append(threading.get_ident())
+            return run_trial(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_trial", recorded)
+        monkeypatch.setenv("QCSLAB_THREADS", "2")
+        cfg = tiny_config()
+        assert cfg.n <= harness._SERIAL_MAX_N
+        q.run_sweep(cfg)
+        assert len(callers) == 9
+        assert set(callers) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("threads, pools", [("1", []), ("2", [2]), ("8", [3])])
+    def test_large_n_pool_is_capped_by_threads_and_trials(self, monkeypatch, threads, pools):
+        made = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                made.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
+        monkeypatch.setenv("QCSLAB_THREADS", threads)
+        # One tuple of 3 trials.
+        cfg = tiny_config(
+            n=harness._SERIAL_MAX_N + 1, budgets=["1N"], bit_grid=[4],
+            algorithms=["oracle_ls"],
+        )
+        assert len(q.run_sweep(cfg).rows) == 3
+        assert made == pools
 
 
 class TestAggregate:

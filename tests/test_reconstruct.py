@@ -269,6 +269,23 @@ class TestBpdn:
         assert res.converged
         _assert_kkt(phi.entries, y, res.estimate, eps)
 
+    @pytest.mark.parametrize("seed", [50, 59])
+    def test_near_exact_fit_with_tiny_eps_certified(self, seed):
+        # y in the range of a square Phi and eps = 1e-6: the path ends at a
+        # lam of 2e-10 to 5e-10 of ||Phi^T y||_inf, where the path's own x_S
+        # misses the certificate's 1e-6 lam and one refinement step meets it.
+        # The step may leave r a few 1e-13 inside the eps-ball, which the
+        # certificate allows and _assert_kkt's residual check does not.
+        _, phi, y = _instance(48, 48, 48, seed)
+        res = q.bpdn(phi, y, 1e-6)
+        assert res.converged
+        r = y - phi.entries @ res.estimate
+        assert float(np.linalg.norm(r)) <= 1e-6 * (1 + 1e-9) + 1e-12
+        c = phi.entries.T @ r
+        sup = np.flatnonzero(res.estimate)
+        lam = float(np.max(np.abs(c)))
+        assert np.all(np.abs(c[sup] - lam * np.sign(res.estimate[sup])) <= 1e-6 * lam)
+
     def test_active_set_inverse_matches_dense_solve(self):
         # Adds and removes enough columns to fold the rank-one terms into
         # the stored inverse several times; a column in the span of the
