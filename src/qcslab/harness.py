@@ -284,6 +284,7 @@ def run_trial(
     trial_index: int,
     record_timing: bool = False,
     matrix_buffer: Optional[np.ndarray] = None,
+    gram_buffer: Optional[np.ndarray] = None,
 ) -> List[TrialResult]:
     """Execute one trial of one tuple and score every applicable algorithm.
 
@@ -292,7 +293,8 @@ def run_trial(
     measurements, quantize (signs when B = 1), reconstruct.
     1-bit estimates are rescaled to the true norm before scoring.
     Phi is drawn into matrix_buffer when one is given (see
-    gen_gaussian_matrix's out); the rows are the same either way.
+    gen_gaussian_matrix's out), and bpdn keeps its n x n Gram matrix in
+    gram_buffer when one is given; the rows are the same either way.
     """
     m = budget // bit_depth
     seed = derive_seed(
@@ -324,7 +326,9 @@ def run_trial(
 
     solvers = {
         "oracle_ls": lambda: oracle_ls(phi, y_q, x.support),
-        "bpdn": lambda: bpdn(phi, y_q, float(np.linalg.norm(y - y_q))),
+        "bpdn": lambda: bpdn(
+            phi, y_q, float(np.linalg.norm(y - y_q)), gram_buffer=gram_buffer
+        ),
         "biht_l1": lambda: biht(phi, y_q, cfg.k, BihtVariant.ONE_SIDED_L1),
         "biht_l2": lambda: biht(phi, y_q, cfg.k, BihtVariant.ONE_SIDED_L2),
     }
@@ -419,6 +423,16 @@ def _map_trials(attempt, tasks, workers: int):
         yield from pool.map(attempt, tasks)
 
 
+def _buffer(entries: int, what: str) -> np.ndarray:
+    """An uninitialized float64 vector; QcsLabError naming it if it does not fit."""
+    try:
+        return np.empty(entries)
+    except MemoryError:
+        raise QcsLabError(
+            f"cannot allocate the {what} buffer ({entries * 8 / 2**30:.3g} GiB)"
+        ) from None
+
+
 def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable:
     """Run every (budget, bit depth, ISNR) tuple over all trials.
 
@@ -428,10 +442,13 @@ def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable
     Up to n = _SERIAL_MAX_N every trial runs in the calling thread;
     above it the trials run on a thread pool of min(QCSLAB_THREADS, trial
     count) workers, where QCSLAB_THREADS defaults to the CPU count and is
-    validated at every n. Each worker draws its matrices into one buffer
-    sized for the largest, so peak memory is about the workers used x the
-    largest matrix; a buffer that cannot be allocated raises QcsLabError
-    naming its size.
+    validated at every n. Trials start in order of m, largest first, so
+    that no worker is left alone with a large trial at the end.
+    Each worker draws its matrices into one buffer sized for the largest
+    and, when bpdn runs, keeps bpdn's Gram matrix in one n x n buffer
+    (8 MB at n = 1000), so peak memory is about the workers used x (the
+    largest matrix + n^2 entries); a buffer that cannot be allocated
+    raises QcsLabError naming its size.
     Output ordering is tuple-major then trial-major and independent of
     the worker count. Wall times are recorded only with record_timing,
     keeping default output bytes reproducible run to run.
@@ -448,33 +465,40 @@ def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable
                     tup = (budget, bit_depth, isnr)
                     tasks.extend((tup, trial) for trial in range(cfg.trials))
 
+    def _m(task):
+        (budget, bit_depth, _), _ = task
+        return budget // bit_depth
+
     # A matrix drawn fresh per trial and then freed can stay resident in
     # the allocator's per-thread arenas, so each worker reuses one buffer.
-    largest = max((budget // bit_depth for (budget, bit_depth, _), _ in tasks), default=0)
+    largest = max(map(_m, tasks), default=0)
     worker = threading.local()
 
     def _attempt(task):
         (budget, bit_depth, isnr), trial = task
         if not hasattr(worker, "matrix"):
-            try:
-                worker.matrix = np.empty(largest * cfg.n)
-            except MemoryError:
-                raise QcsLabError(
-                    f"cannot allocate the {largest} x {cfg.n} matrix buffer"
-                    f" ({largest * cfg.n * 8 / 2**30:.3g} GiB)"
-                ) from None
+            worker.matrix = _buffer(largest * cfg.n, f"{largest} x {cfg.n} matrix")
+            worker.gram = None
+            if "bpdn" in cfg.algorithms:
+                worker.gram = _buffer(cfg.n * cfg.n, f"{cfg.n} x {cfg.n} Gram matrix")
         try:
             return run_trial(
                 cfg, budget, bit_depth, isnr, trial, record_timing,
-                matrix_buffer=worker.matrix,
+                matrix_buffer=worker.matrix, gram_buffer=worker.gram,
             )
         except (QcsLabError, np.linalg.LinAlgError) as exc:
             return f"trial {trial} failed: {exc}"
 
     cap = _worker_count()  # validated whether or not a pool runs
     workers = 1 if cfg.n <= _SERIAL_MAX_N else max(1, min(cap, len(tasks)))
+    # Largest m first (a stable sort); the outcomes go back in task order.
+    order = sorted(range(len(tasks)), key=lambda i: -_m(tasks[i]))
+    outcomes = [None] * len(tasks)
+    ran = _map_trials(_attempt, [tasks[i] for i in order], workers)
+    for i, outcome in zip(order, ran):
+        outcomes[i] = outcome
     rows: List[TrialResult] = []
-    for (tup, _), outcome in zip(tasks, _map_trials(_attempt, tasks, workers)):
+    for (tup, _), outcome in zip(tasks, outcomes):
         if isinstance(outcome, str):
             skips.append(SkipRecord(*tup, outcome))
         else:

@@ -94,30 +94,50 @@ _DEPENDENT_TOL = 1e-10
 _STOP_MARGIN = 1e-3
 
 
+# Joins after which _ActiveSet forms the Gram matrix Phi^T Phi once and
+# reads each later joining column's row from it. Forming it is one BLAS
+# syrk (m n^2 / 2 multiply-adds); a join before that is one product
+# Phi^T phi_j (m n). On one BLAS thread of a 2-vCPU Xeon VM the syrk cost
+# 48-106 join products at n=1000 for m from 375 to 3000 (336 at m=125),
+# and 20-63 at n=256 for m from 125 to 3000.
+_GRAM_JOINS = 64
+
+
 class _ActiveSet:
     """The active columns of the l1 path and the inverse of their Gram matrix.
 
     Entry i belongs to column idx[i] of Phi, with path sign sign[i] and
-    coefficient x[i]. Row i of rows holds Phi^T phi_idx[i], so the Gram
-    matrix of the active columns is rows[:k, idx[:k]]. Its inverse is
-    held as base[:k, :k] + U diag(weights) U^T with U = lowrank[:k, :r]:
-    adding a column appends one rank-one term (the bordered inverse's
-    Schur complement), and so does removing one (its downdate). When
-    _REFRESH_STEPS terms have gathered, one matrix product folds them into
-    base. A step so costs O(k^2) in BLAS products and never an
-    elementwise pass over k x k entries, which at k = 900 takes longer
-    than the product with the inverse. Every buffer is sized for min(m, n)
-    columns and updated in place.
+    coefficient x[i]; idx is a permutation of all n columns whose first k
+    entries are the active ones. Row i of the n x n row store rows holds
+    Phi^T phi_idx[i] for i < k, so the Gram matrix of the active columns
+    is rows[:k, idx[:k]]. For the first _GRAM_JOINS calls to add, the
+    joining column's row is one product with Phi. The next call fills the
+    store with Phi^T Phi, its rows permuted with idx, and from then on a
+    join or a removal is a swap of two rows.
+
+    The inverse of the active Gram matrix is held as base[:k, :k] +
+    U diag(weights) U^T with U = lowrank[:k, :r]: adding a column appends
+    one rank-one term (the bordered inverse's Schur complement), and so
+    does removing one (its downdate). When _REFRESH_STEPS terms have
+    gathered, one matrix product folds them into base. A step so costs
+    O(k^2) in BLAS products and never an elementwise pass over k x k
+    entries, which at k = 900 takes longer than the product with the
+    inverse. The other buffers are sized for min(m, n) columns, and every
+    buffer is updated in place.
     """
 
-    def __init__(self, a: np.ndarray):
+    def __init__(self, a: np.ndarray, gram_buffer: Optional[np.ndarray] = None):
+        n = a.shape[1]
         cap = min(a.shape)
         self.a = a
         self.k = 0
-        self.idx = np.empty(cap, dtype=np.intp)
+        self.joins = 0
+        self.idx = np.arange(n)
+        self.pos = np.arange(n)  # pos[idx[i]] = i
         self.sign = np.empty(cap)
         self.x = np.empty(cap)
-        self.rows = np.empty((cap, a.shape[1]))
+        store = np.empty(n * n) if gram_buffer is None else gram_buffer
+        self.rows = store[: n * n].reshape(n, n)
         self.base = np.empty((cap, cap))
         self.lowrank = np.empty((cap, _REFRESH_STEPS))
         self.weights = np.empty(_REFRESH_STEPS)
@@ -140,12 +160,35 @@ class _ActiveSet:
             self.base[:k, :k] += (u * self.weights) @ u.T
             self.r = 0
 
+    def _swap(self, p: int, q: int, move_rows: bool = True) -> None:
+        """Exchange places p and q of idx, and with rows of the row store."""
+        i, j = self.idx[p], self.idx[q]
+        self.idx[p], self.idx[q] = j, i
+        self.pos[i], self.pos[j] = q, p
+        if move_rows:
+            pq = [p, q]
+            self.rows[pq] = self.rows[[q, p]]
+
+    def _fill_gram(self) -> None:
+        """Phi^T Phi into the row store, rows permuted with idx."""
+        active = self.idx[: self.k].copy()
+        np.matmul(self.a.T, self.a, out=self.rows)
+        self.idx[:] = self.pos[:] = np.arange(self.idx.size)
+        for i, j in enumerate(active):
+            self._swap(i, self.pos[j])
+
     def add(self, j: int, sign: float) -> bool:
         """Append column j to a set with room for it; False, leaving the
         set as it was, if j depends on the active columns."""
         k = self.k
+        gram = self.joins >= _GRAM_JOINS
+        if self.joins == _GRAM_JOINS:
+            self._fill_gram()
+        self.joins += 1
+        self._swap(k, self.pos[j], move_rows=gram)
         row = self.rows[k]
-        np.matmul(self.a[:, j], self.a, out=row)
+        if not gram:
+            np.matmul(self.a[:, j], self.a, out=row)
         b = self.rows[:k, j]
         u = self.apply(b)
         schur = row[j] - float(b @ u)
@@ -154,7 +197,7 @@ class _ActiveSet:
         self.base[k, : k + 1] = 0.0
         self.base[:k, k] = 0.0
         self.lowrank[k, : self.r] = 0.0
-        self.idx[k], self.sign[k], self.x[k] = j, sign, 0.0
+        self.sign[k], self.x[k] = sign, 0.0
         self.k = k + 1
         self._append_term(np.append(u, -1.0), 1.0 / schur)
         return True
@@ -165,7 +208,8 @@ class _ActiveSet:
         base, u = self.base, self.lowrank[: q + 1, : self.r]
         if p != q:
             pq, qp = [p, q], [q, p]
-            for arr in (self.idx, self.sign, self.x, self.rows, self.lowrank):
+            self._swap(p, q)
+            for arr in (self.sign, self.x, self.lowrank):
                 arr[pq] = arr[qp]
             base[pq, : q + 1] = base[qp, : q + 1]
             base[: q + 1, pq] = base[: q + 1, qp]
@@ -185,26 +229,33 @@ class _ActiveSet:
         return out
 
 
+# The path signs as a column, + first, for _first_entry.
+_SIGNS = np.array([[1.0], [-1.0]])
+
+
 def _first_entry(c, slope, lam, free, left, left_sign):
     """Smallest step gamma >= 0 at which |c_j - gamma slope_j| reaches
-    lam - gamma for a free j: (gamma, j, sign of c_j there).
+    lam - gamma for a free j: (gamma, j, sign of c_j there). Ties go to
+    the + sign, then to the lowest index.
 
     Index left has just left the active set with sign left_sign, so its
     correlation starts at left_sign lam; only its crossing of the
     opposite bound counts.
     """
-    best = (math.inf, -1, 0.0)
-    for sign in (1.0, -1.0):
-        den = 1.0 - sign * slope
-        num = np.maximum(lam - sign * c, 0.0)
-        gam = np.full(c.size, math.inf)
-        np.divide(num, den, out=gam, where=free & (den > 1e-12))
-        if sign == left_sign:
-            gam[left] = math.inf
-        j = int(np.argmin(gam))
-        if gam[j] < best[0]:
-            best = (float(gam[j]), j, sign)
-    return best
+    # Row 0 is the + sign and row 1 the - sign, so a flat argmin breaks
+    # ties as stated. Both signs go through each numpy call at once.
+    den = 1.0 - _SIGNS * slope
+    num = np.maximum(lam - _SIGNS * c, 0.0)
+    gam = np.full(den.shape, math.inf)
+    np.divide(num, den, out=gam, where=free & (den > 1e-12))
+    if left_sign:
+        gam[int(left_sign < 0), left] = math.inf
+    flat = int(np.argmin(gam))
+    best = float(gam.flat[flat])
+    if best == math.inf:
+        return math.inf, -1, 0.0
+    row, j = divmod(flat, c.size)
+    return best, j, float(_SIGNS[row, 0])
 
 
 def _kkt_certified(a: np.ndarray, y: np.ndarray, x: np.ndarray, eps: float, lam: float) -> bool:
@@ -228,6 +279,7 @@ def bpdn(
     y: np.ndarray,
     eps: float,
     max_iter: int = 2000,
+    gram_buffer: Optional[np.ndarray] = None,
 ) -> ReconResult:
     """Minimize ||x||_1 subject to ||y - Phi x||_2 <= eps.
 
@@ -241,8 +293,13 @@ def bpdn(
     the residual norm reaches eps stops at that point, a root of
     ||r - gamma w||^2 = eps^2, found on an exactly recomputed residual.
     The cost of a step follows the active set's size k: O(k n + k^2),
-    plus one product with Phi for a joining index and every
-    _REFRESH_STEPS steps.
+    plus one product with Phi every _REFRESH_STEPS steps. Each of the
+    first _GRAM_JOINS joining indices costs one product Phi^T phi_j;
+    then Phi^T Phi is formed once (one BLAS syrk, 6-80 ms at n = 1000 for
+    m = 125-3000) and a join is a swap of two of its rows. It is held in
+    gram_buffer, a vector of at least n^2 float64 entries that the call
+    overwrites, when one is given, else in a fresh n x n array (8 MB at
+    n = 1000).
 
     iterations counts path steps, and max_iter caps them. converged is a
     KKT certificate on the returned x (_kkt_certified): feasible, and
@@ -271,7 +328,7 @@ def bpdn(
     if lam == 0.0:
         return ReconResult(estimate=np.zeros(n), iterations=0, converged=False)
 
-    act = _ActiveSet(a)
+    act = _ActiveSet(a, gram_buffer)
     act.add(j, float(np.sign(corr_y[j])))
     # Columns found dependent on the active ones; cleared when one leaves.
     passed = np.zeros(n, dtype=bool)
@@ -304,7 +361,7 @@ def bpdn(
             break
         slope = d @ act.rows[:k]
         gam_in, j_in, s_in = math.inf, -1, 0.0
-        if k < act.idx.size:  # a full set spans every column: none can join
+        if k < act.sign.size:  # a full set spans every column: none can join
             free = ~passed
             free[idx] = False
             gam_in, j_in, s_in = _first_entry(c, slope, lam, free, left, left_sign)

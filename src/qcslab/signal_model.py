@@ -37,8 +37,9 @@ class SparseSignal:
             raise InvalidParameterError("support indices must be distinct")
         if support.size and (support.min() < 0 or support.max() >= values.size):
             raise InvalidParameterError("support indices out of range")
-        off = np.setdiff1d(np.arange(values.size), support)
-        if off.size and np.any(values[off] != 0.0):
+        off = np.ones(values.size, dtype=bool)
+        off[support] = False
+        if np.any(values[off] != 0.0):
             raise InvalidParameterError("values must vanish off the support")
         values.flags.writeable = False
         support.flags.writeable = False

@@ -196,6 +196,57 @@ class TestRunSweep:
         assert results_to_csv(t1) == results_to_csv(t2)
         assert aggregates_to_csv(t1) == aggregates_to_csv(t2)
 
+    def test_largest_m_runs_first_and_rows_stay_tuple_major(self, monkeypatch):
+        # m = 32, 16, 96, 48 in tuple order: not monotone. The pool runs
+        # at this small n too, so that 1 and 2 workers take the same path.
+        started = []
+        run_trial = harness.run_trial
+
+        def recorded(cfg, budget, bit_depth, *args, **kwargs):
+            started.append(budget // bit_depth)
+            return run_trial(cfg, budget, bit_depth, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_trial", recorded)
+        monkeypatch.setattr(harness, "_SERIAL_MAX_N", 0)
+        cfg = tiny_config(
+            budgets=["1N", "3N"], bit_grid=[2, 4], isnr_list=[20.0, 5.0], trials=2
+        )
+        monkeypatch.setenv("QCSLAB_THREADS", "1")
+        t1 = q.run_sweep(cfg)
+        assert started == sorted(started, reverse=True)
+        expected = [
+            (budget, bit_depth, isnr, trial, alg)
+            for budget in (64, 192)
+            for bit_depth in (2, 4)
+            for isnr in (20.0, 5.0)
+            for trial in (0, 1)
+            for alg in ("oracle_ls", "bpdn")
+        ]
+        assert [(r.budget, r.bit_depth, r.isnr_db, r.trial, r.algorithm)
+                for r in t1.rows] == expected
+        monkeypatch.setenv("QCSLAB_THREADS", "2")
+        t2 = q.run_sweep(cfg)
+        assert results_to_csv(t1) == results_to_csv(t2)
+        assert aggregates_to_csv(t1) == aggregates_to_csv(t2)
+
+    def test_failed_trials_stay_in_tuple_order(self, monkeypatch):
+        run_trial = harness.run_trial
+
+        def failing(cfg, budget, bit_depth, isnr, trial, *args, **kwargs):
+            if trial == 1:
+                raise q.QcsLabError(f"m = {budget // bit_depth}")
+            return run_trial(cfg, budget, bit_depth, isnr, trial, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_trial", failing)
+        cfg = tiny_config(budgets=["1N", "3N"], bit_grid=[2, 4], trials=2)
+        table = q.run_sweep(cfg)
+        assert [(s.budget, s.bit_depth, s.reason) for s in table.skips] == [
+            (64, 2, "trial 1 failed: m = 32"),
+            (64, 4, "trial 1 failed: m = 16"),
+            (192, 2, "trial 1 failed: m = 96"),
+            (192, 4, "trial 1 failed: m = 48"),
+        ]
+
     @pytest.mark.parametrize("value", ["soup", "0", "-1"])
     def test_thread_env_var_validated(self, monkeypatch, value):
         monkeypatch.setenv("QCSLAB_THREADS", value)

@@ -171,6 +171,16 @@ def _assert_kkt(a, y, x_hat, eps):
     assert float(np.max(np.abs(c))) <= lam * (1 + 1e-6)
 
 
+def _assert_active_set(act, a, members):
+    """idx lists members first and is a permutation of the columns, and
+    row i of the row store is phi_idx[i]^T Phi for every active i."""
+    k = act.k
+    assert list(act.idx[:k]) == members
+    assert np.array_equal(np.sort(act.idx), np.arange(a.shape[1]))
+    assert np.array_equal(act.pos[act.idx], np.arange(a.shape[1]))
+    assert np.allclose(act.rows[:k], a[:, members].T @ a, rtol=0, atol=1e-12)
+
+
 class TestBpdn:
     def test_zero_when_eps_dominates(self):
         _, phi, y = _instance(100, 3, 40, 1)
@@ -286,30 +296,77 @@ class TestBpdn:
         lam = float(np.max(np.abs(c)))
         assert np.all(np.abs(c[sup] - lam * np.sign(res.estimate[sup])) <= 1e-6 * lam)
 
+    @pytest.mark.parametrize("n, m", [(128, 192), (256, 160)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gram_path_matches_product_path(self, n, m, seed, monkeypatch):
+        # m > n and m < n, each with more than _GRAM_JOINS joins: the rows
+        # read from Phi^T Phi give the path that per-join products give.
+        x, phi, y = _instance(n, 4, m, seed, sigma_n2=0.05)
+        y_q = q.uniform_quantize(y, q.dynamic_range(y), 3)
+        eps = float(np.linalg.norm(y - y_q))
+        fills = []
+        fill = reconstruct._ActiveSet._fill_gram
+
+        def counted(act):
+            fills.append(act.joins)
+            fill(act)
+
+        monkeypatch.setattr(reconstruct._ActiveSet, "_fill_gram", counted)
+        res = q.bpdn(phi, y_q, eps)
+        assert fills == [reconstruct._GRAM_JOINS]
+        assert res.converged
+        _assert_kkt(phi.entries, y_q, res.estimate, eps)
+        monkeypatch.setattr(reconstruct, "_GRAM_JOINS", 10 * res.iterations)
+        ref = q.bpdn(phi, y_q, eps)
+        assert len(fills) == 1
+        assert ref.iterations == res.iterations
+        assert np.max(np.abs(res.estimate - ref.estimate)) <= 1e-12
+
+    def test_gram_buffer_is_the_row_store(self):
+        x, phi, y = _instance(128, 4, 192, 0, sigma_n2=0.05)
+        y_q = q.uniform_quantize(y, q.dynamic_range(y), 3)
+        eps = float(np.linalg.norm(y - y_q))
+        buf = np.full(128 * 128 + 5, np.nan)
+        res = q.bpdn(phi, y_q, eps, gram_buffer=buf)
+        ref = q.bpdn(phi, y_q, eps)
+        assert res.iterations == ref.iterations
+        assert np.array_equal(res.estimate, ref.estimate)
+        # Filled with the rows of Phi^T Phi in some order; the tail is untouched.
+        gram = phi.entries.T @ phi.entries
+        rows = buf[: 128 * 128].reshape(128, 128)
+        assert np.allclose(np.sort(rows[:, 0]), np.sort(gram[:, 0]), rtol=0, atol=1e-12)
+        assert np.isnan(buf[-5:]).all()
+
     def test_active_set_inverse_matches_dense_solve(self):
         # Adds and removes enough columns to fold the rank-one terms into
-        # the stored inverse several times; a column in the span of the
-        # active ones, and a zero column, are refused and change nothing.
+        # the stored inverse several times, and to pass _GRAM_JOINS, so
+        # that the rows come from products before it and from Phi^T Phi
+        # after it; a column in the span of the active ones, and a zero
+        # column, are refused and change nothing.
         rng = np.random.default_rng(5)
         a = rng.standard_normal((60, 40))
         a[:, 10] = a[:, 0] - 2.0 * a[:, 1]
         a[:, 11] = 0.0
         act = reconstruct._ActiveSet(a)
         members = []
-        for _ in range(4 * reconstruct._REFRESH_STEPS):
+        removed = {False: 0, True: 0}  # removals before and after the switch
+        for _ in range(6 * reconstruct._REFRESH_STEPS):
             if len(members) == 28 or (len(members) > 5 and rng.random() < 0.4):
                 p = int(rng.integers(len(members)))
                 act.remove(p)
                 members[p] = members[-1]
                 members.pop()
+                removed[act.joins > reconstruct._GRAM_JOINS] += 1
             else:
                 j = int(rng.choice(np.setdiff1d(np.arange(12, 40), members)))
                 assert act.add(j, 1.0)
                 members.append(j)
-            assert list(act.idx[: act.k]) == members
+            _assert_active_set(act, a, members)
             v = rng.standard_normal(act.k)
             sub = a[:, members]
             assert np.allclose(act.apply(v), np.linalg.solve(sub.T @ sub, v), rtol=1e-9, atol=1e-12)
+        assert act.joins > reconstruct._GRAM_JOINS + 10
+        assert min(removed.values()) >= 10
         for j in (0, 1):
             if j not in members:
                 assert act.add(j, 1.0)
@@ -317,7 +374,8 @@ class TestBpdn:
         k = act.k
         assert not act.add(10, 1.0)
         assert not act.add(11, 1.0)
-        assert act.k == k and list(act.idx[:k]) == members
+        assert act.k == k
+        _assert_active_set(act, a, members)
 
     def test_iteration_cap_reported(self):
         _, phi, y = _instance(256, 4, 100, 70)
