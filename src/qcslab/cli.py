@@ -122,13 +122,13 @@ def _out_dir(args) -> Path:
 @contextmanager
 def _sweep_out_dir(args):
     """_out_dir, made before the sweep so that an unusable --out fails
-    first; a QcsLabError raised in the block removes it again if this call
-    made it and it is still empty."""
+    first; a QcsLabError or MemoryError raised in the block removes it
+    again if this call made it and it is still empty."""
     made = not Path(args.out).exists()
     out = _out_dir(args)
     try:
         yield out
-    except QcsLabError:
+    except (QcsLabError, MemoryError):
         if made and not any(out.iterdir()):
             out.rmdir()
         raise
@@ -392,6 +392,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_RUNTIME
     except OSError as exc:
         print(f"qcslab: io error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"qcslab: out of memory{detail}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -284,7 +284,6 @@ def run_trial(
     trial_index: int,
     record_timing: bool = False,
     matrix_buffer: Optional[np.ndarray] = None,
-    gram_buffer: Optional[np.ndarray] = None,
 ) -> List[TrialResult]:
     """Execute one trial of one tuple and score every applicable algorithm.
 
@@ -293,8 +292,7 @@ def run_trial(
     measurements, quantize (signs when B = 1), reconstruct.
     1-bit estimates are rescaled to the true norm before scoring.
     Phi is drawn into matrix_buffer when one is given (see
-    gen_gaussian_matrix's out), and bpdn keeps its n x n Gram matrix in
-    gram_buffer when one is given; the rows are the same either way.
+    gen_gaussian_matrix's out); the rows are the same either way.
     """
     m = budget // bit_depth
     seed = derive_seed(
@@ -326,9 +324,7 @@ def run_trial(
 
     solvers = {
         "oracle_ls": lambda: oracle_ls(phi, y_q, x.support),
-        "bpdn": lambda: bpdn(
-            phi, y_q, float(np.linalg.norm(y - y_q)), gram_buffer=gram_buffer
-        ),
+        "bpdn": lambda: bpdn(phi, y_q, float(np.linalg.norm(y - y_q))),
         "biht_l1": lambda: biht(phi, y_q, cfg.k, BihtVariant.ONE_SIDED_L1),
         "biht_l2": lambda: biht(phi, y_q, cfg.k, BihtVariant.ONE_SIDED_L2),
     }
@@ -423,16 +419,6 @@ def _map_trials(attempt, tasks, workers: int):
         yield from pool.map(attempt, tasks)
 
 
-def _buffer(entries: int, what: str) -> np.ndarray:
-    """An uninitialized float64 vector; QcsLabError naming it if it does not fit."""
-    try:
-        return np.empty(entries)
-    except MemoryError:
-        raise QcsLabError(
-            f"cannot allocate the {what} buffer ({entries * 8 / 2**30:.3g} GiB)"
-        ) from None
-
-
 def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable:
     """Run every (budget, bit depth, ISNR) tuple over all trials.
 
@@ -444,11 +430,9 @@ def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable
     count) workers, where QCSLAB_THREADS defaults to the CPU count and is
     validated at every n. Trials start in order of m, largest first, so
     that no worker is left alone with a large trial at the end.
-    Each worker draws its matrices into one buffer sized for the largest
-    and, when bpdn runs, keeps bpdn's Gram matrix in one n x n buffer
-    (8 MB at n = 1000), so peak memory is about the workers used x (the
-    largest matrix + n^2 entries); a buffer that cannot be allocated
-    raises QcsLabError naming its size.
+    Each worker draws its matrices into one buffer sized for the largest,
+    so peak memory is about the workers used x the largest matrix; a
+    MemoryError, from that buffer or from within a trial, ends the sweep.
     Output ordering is tuple-major then trial-major and independent of
     the worker count. Wall times are recorded only with record_timing,
     keeping default output bytes reproducible run to run.
@@ -477,14 +461,12 @@ def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable
     def _attempt(task):
         (budget, bit_depth, isnr), trial = task
         if not hasattr(worker, "matrix"):
-            worker.matrix = _buffer(largest * cfg.n, f"{largest} x {cfg.n} matrix")
-            worker.gram = None
-            if "bpdn" in cfg.algorithms:
-                worker.gram = _buffer(cfg.n * cfg.n, f"{cfg.n} x {cfg.n} Gram matrix")
+            # Made 2-D first, so that numpy's MemoryError names the shape.
+            worker.matrix = np.empty((largest, cfg.n)).reshape(-1)
         try:
             return run_trial(
                 cfg, budget, bit_depth, isnr, trial, record_timing,
-                matrix_buffer=worker.matrix, gram_buffer=worker.gram,
+                matrix_buffer=worker.matrix,
             )
         except (QcsLabError, np.linalg.LinAlgError) as exc:
             return f"trial {trial} failed: {exc}"
@@ -534,7 +516,8 @@ def regime_map(
 ) -> Tuple[List[RegimePoint], ResultTable]:
     """Pick the RSNR-maximizing (M, B) pair per ISNR at a fixed budget.
 
-    Per bit depth the best mean RSNR over the requested algorithms is
+    Per bit depth the best mean RSNR over the requested algorithms
+    (cfg.algorithms; a given table's other aggregates are passed over) is
     used; ties between bit depths resolve to the smaller B. Low optimal
     bit depths classify as the QC regime, high ones as MC.
     """
@@ -550,6 +533,7 @@ def regime_map(
                 agg.rsnr_mean
                 for agg in table.aggregates
                 if agg.budget == resolved
+                and agg.algorithm in cfg.algorithms
                 and agg.bit_depth == bit_depth
                 and agg.isnr_db == float(isnr)
             ]

@@ -108,12 +108,14 @@ class _ActiveSet:
 
     Entry i belongs to column idx[i] of Phi, with path sign sign[i] and
     coefficient x[i]; idx is a permutation of all n columns whose first k
-    entries are the active ones. Row i of the n x n row store rows holds
+    entries are the active ones. Row i of the row store rows holds
     Phi^T phi_idx[i] for i < k, so the Gram matrix of the active columns
     is rows[:k, idx[:k]]. For the first _GRAM_JOINS calls to add, the
-    joining column's row is one product with Phi. The next call fills the
-    store with Phi^T Phi, its rows permuted with idx, and from then on a
-    join or a removal is a swap of two rows.
+    store has min(m, n, _GRAM_JOINS) rows and the joining column's row is
+    one product with Phi. The next call replaces it with Phi^T Phi, n x n
+    with its rows permuted with idx, and from then on a join or a removal
+    is a swap of two rows. A call that stops within _GRAM_JOINS joins so
+    never holds n^2 entries.
 
     The inverse of the active Gram matrix is held as base[:k, :k] +
     U diag(weights) U^T with U = lowrank[:k, :r]: adding a column appends
@@ -126,7 +128,7 @@ class _ActiveSet:
     buffer is updated in place.
     """
 
-    def __init__(self, a: np.ndarray, gram_buffer: Optional[np.ndarray] = None):
+    def __init__(self, a: np.ndarray):
         n = a.shape[1]
         cap = min(a.shape)
         self.a = a
@@ -136,8 +138,7 @@ class _ActiveSet:
         self.pos = np.arange(n)  # pos[idx[i]] = i
         self.sign = np.empty(cap)
         self.x = np.empty(cap)
-        store = np.empty(n * n) if gram_buffer is None else gram_buffer
-        self.rows = store[: n * n].reshape(n, n)
+        self.rows = np.empty((min(cap, _GRAM_JOINS), n))
         self.base = np.empty((cap, cap))
         self.lowrank = np.empty((cap, _REFRESH_STEPS))
         self.weights = np.empty(_REFRESH_STEPS)
@@ -170,9 +171,9 @@ class _ActiveSet:
             self.rows[pq] = self.rows[[q, p]]
 
     def _fill_gram(self) -> None:
-        """Phi^T Phi into the row store, rows permuted with idx."""
+        """Phi^T Phi as the row store, rows permuted with idx."""
         active = self.idx[: self.k].copy()
-        np.matmul(self.a.T, self.a, out=self.rows)
+        self.rows = self.a.T @ self.a
         self.idx[:] = self.pos[:] = np.arange(self.idx.size)
         for i, j in enumerate(active):
             self._swap(i, self.pos[j])
@@ -279,7 +280,6 @@ def bpdn(
     y: np.ndarray,
     eps: float,
     max_iter: int = 2000,
-    gram_buffer: Optional[np.ndarray] = None,
 ) -> ReconResult:
     """Minimize ||x||_1 subject to ||y - Phi x||_2 <= eps.
 
@@ -296,10 +296,8 @@ def bpdn(
     plus one product with Phi every _REFRESH_STEPS steps. Each of the
     first _GRAM_JOINS joining indices costs one product Phi^T phi_j;
     then Phi^T Phi is formed once (one BLAS syrk, 6-80 ms at n = 1000 for
-    m = 125-3000) and a join is a swap of two of its rows. It is held in
-    gram_buffer, a vector of at least n^2 float64 entries that the call
-    overwrites, when one is given, else in a fresh n x n array (8 MB at
-    n = 1000).
+    m = 125-3000; 8 MB, freed when the call returns) and a join is a swap
+    of two of its rows.
 
     iterations counts path steps, and max_iter caps them. converged is a
     KKT certificate on the returned x (_kkt_certified): feasible, and
@@ -312,12 +310,14 @@ def bpdn(
     """
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
-    if eps < 0:
-        raise InvalidParameterError("eps must be nonnegative")
+    if not eps >= 0:  # also nan
+        raise InvalidParameterError(f"eps must be nonnegative, got {eps!r}")
     a = phi.entries
     y = np.asarray(y, dtype=float)
     if y.shape != (phi.rows,):
         raise DimensionMismatchError("measurement length != matrix rows")
+    if not np.isfinite(y).all():
+        raise InvalidParameterError("y must be finite")
 
     n = phi.cols
     if np.linalg.norm(y) <= eps:
@@ -328,7 +328,7 @@ def bpdn(
     if lam == 0.0:
         return ReconResult(estimate=np.zeros(n), iterations=0, converged=False)
 
-    act = _ActiveSet(a, gram_buffer)
+    act = _ActiveSet(a)
     act.add(j, float(np.sign(corr_y[j])))
     # Columns found dependent on the active ones; cleared when one leaves.
     passed = np.zeros(n, dtype=bool)

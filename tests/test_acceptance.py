@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from collections import defaultdict
+from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
@@ -222,27 +223,12 @@ def test_criterion_06_bpdn_contract():
     assert l1_ok
 
 
-def _best_bit_depths(table, isnr_list, practical_only=True):
-    best = {}
-    for isnr in isnr_list:
-        per_b = {}
-        for a in table.aggregates:
-            if a.isnr_db != isnr:
-                continue
-            if practical_only and a.algorithm == "oracle_ls":
-                continue
-            per_b[a.bit_depth] = max(per_b.get(a.bit_depth, -math.inf), a.rsnr_mean)
-        pick, score = None, -math.inf
-        for b in sorted(per_b):
-            if per_b[b] > score:
-                pick, score = b, per_b[b]
-        best[isnr] = pick
-    return best
-
-
 def test_criterion_07_regime_ordering(ci_table):
     isnrs = (35.0, 20.0, 10.0, 5.0)
-    best = _best_bit_depths(ci_table, isnrs)
+    cfg = sweep_preset("ci")
+    practical = [a for a in cfg.algorithms if a != "oracle_ls"]
+    points, _ = q.regime_map(replace(cfg, algorithms=practical), "2N", table=ci_table)
+    best = {p.isnr_db: p.best_b for p in points}
     ordered = [best[i] for i in isnrs]
     monotone = all(a >= b for a, b in zip(ordered, ordered[1:]))
     low_ok = best[10.0] <= 2 and best[5.0] <= 2

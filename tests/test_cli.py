@@ -7,6 +7,7 @@ from typing import get_type_hints
 
 import pytest
 
+from qcslab import harness
 from qcslab.cli import _build_parser, main
 from qcslab.harness import RegimePoint, read_config, regime_map
 from qcslab.presets import sweep_preset
@@ -169,9 +170,26 @@ class TestSweepCmd:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "cannot allocate the 70000000 x 10000000 matrix buffer" in err
+        assert "(70000000, 10000000)" in err
         assert not out.exists()
         # A directory that was there before the run stays.
+        out.mkdir()
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert out.is_dir()
+
+    def test_out_of_memory_in_a_trial_exits_2(self, tmp_path, capsys, monkeypatch):
+        # A MemoryError raised inside a trial ends the sweep like one from
+        # the matrix buffer: exit 2, one line, no traceback.
+        def exhausted(*args, **kwargs):
+            raise MemoryError("cannot fit the trial")
+
+        monkeypatch.setattr(harness, "bpdn", exhausted)
+        cfg = write_tiny_config(tmp_path / "cfg.json", bit_grid=[4])
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "qcslab: out of memory: cannot fit the trial\n"
+        assert not out.exists()
         out.mkdir()
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
         assert out.is_dir()

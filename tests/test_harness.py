@@ -437,6 +437,22 @@ class TestRegimeMap:
         assert points[0].best_b == 1
         assert points[0].best_rsnr == 14.0
 
+    def test_only_the_configured_algorithms_count(self):
+        # The oracle's aggregate would win at B = 4, but the config does
+        # not request it.
+        cfg = tiny_config(bit_grid=[1, 4], algorithms=["bpdn", "biht_l2"])
+        table = q.ResultTable(
+            rows=[],
+            aggregates=[
+                self._agg(1, 14.0, "biht_l2"),
+                self._agg(4, 12.0, "bpdn"),
+                self._agg(4, 20.0, "oracle_ls"),
+            ],
+        )
+        points, _ = q.regime_map(cfg, 128, table=table)
+        assert points[0].best_b == 1
+        assert points[0].best_rsnr == 14.0
+
     def test_runs_end_to_end(self):
         cfg = tiny_config(trials=2)
         points, table = q.regime_map(cfg, "2N")

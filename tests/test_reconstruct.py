@@ -188,10 +188,24 @@ class TestBpdn:
         assert res.converged
         assert np.array_equal(res.estimate, np.zeros(100))
 
-    def test_negative_eps_rejected(self):
+    @pytest.mark.parametrize(
+        "eps, bad_y",
+        [
+            pytest.param(-1.0, None, id="negative"),
+            pytest.param(float("nan"), None, id="nan"),
+            pytest.param(1.0, float("nan"), id="nan_y"),
+            pytest.param(1.0, float("inf"), id="inf_y"),
+        ],
+    )
+    def test_negative_eps_rejected(self, eps, bad_y):
+        # Also a NaN eps, which fails no ordered comparison, and a
+        # measurement vector with a non-finite entry.
         _, phi, y = _instance(100, 3, 40, 1)
+        if bad_y is not None:
+            y = y.copy()
+            y[7] = bad_y
         with pytest.raises(q.InvalidParameterError):
-            q.bpdn(phi, y, -1.0)
+            q.bpdn(phi, y, eps)
 
     def test_max_iter_below_one_rejected(self):
         # Rejected even where the zero estimate would return before iterating.
@@ -322,29 +336,15 @@ class TestBpdn:
         assert ref.iterations == res.iterations
         assert np.max(np.abs(res.estimate - ref.estimate)) <= 1e-12
 
-    def test_gram_buffer_is_the_row_store(self):
-        x, phi, y = _instance(128, 4, 192, 0, sigma_n2=0.05)
-        y_q = q.uniform_quantize(y, q.dynamic_range(y), 3)
-        eps = float(np.linalg.norm(y - y_q))
-        buf = np.full(128 * 128 + 5, np.nan)
-        res = q.bpdn(phi, y_q, eps, gram_buffer=buf)
-        ref = q.bpdn(phi, y_q, eps)
-        assert res.iterations == ref.iterations
-        assert np.array_equal(res.estimate, ref.estimate)
-        # Filled with the rows of Phi^T Phi in some order; the tail is untouched.
-        gram = phi.entries.T @ phi.entries
-        rows = buf[: 128 * 128].reshape(128, 128)
-        assert np.allclose(np.sort(rows[:, 0]), np.sort(gram[:, 0]), rtol=0, atol=1e-12)
-        assert np.isnan(buf[-5:]).all()
-
     def test_active_set_inverse_matches_dense_solve(self):
         # Adds and removes enough columns to fold the rank-one terms into
         # the stored inverse several times, and to pass _GRAM_JOINS, so
         # that the rows come from products before it and from Phi^T Phi
         # after it; a column in the span of the active ones, and a zero
-        # column, are refused and change nothing.
+        # column, are refused and change nothing. The row store holds
+        # min(m, n, _GRAM_JOINS) rows until the switch and n after it.
         rng = np.random.default_rng(5)
-        a = rng.standard_normal((60, 40))
+        a = rng.standard_normal((60, 80))
         a[:, 10] = a[:, 0] - 2.0 * a[:, 1]
         a[:, 11] = 0.0
         act = reconstruct._ActiveSet(a)
@@ -361,6 +361,9 @@ class TestBpdn:
                 j = int(rng.choice(np.setdiff1d(np.arange(12, 40), members)))
                 assert act.add(j, 1.0)
                 members.append(j)
+                if act.joins - reconstruct._GRAM_JOINS in (0, 1):
+                    rows = 60 if act.joins == reconstruct._GRAM_JOINS else 80
+                    assert act.rows.shape == (rows, 80)
             _assert_active_set(act, a, members)
             v = rng.standard_normal(act.k)
             sub = a[:, members]
