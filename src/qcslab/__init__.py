@@ -38,6 +38,7 @@ from .harness import (
     regime_map,
     run_sweep,
     run_trial,
+    to_csv,
     write_aggregates,
     write_config,
     write_results,

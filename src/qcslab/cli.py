@@ -14,7 +14,7 @@ import argparse
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -25,11 +25,11 @@ from .harness import (
     ExperimentConfig,
     RegimePoint,
     ResultTable,
-    _to_csv,
     parse_budget,
     read_config,
     regime_map,
     run_sweep,
+    to_csv,
     write_aggregates,
     write_results,
 )
@@ -113,25 +113,28 @@ def _fmt_num(value: float) -> str:
     return repr(float(value))
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 @contextmanager
-def _sweep_out_dir(args):
-    """_out_dir, made before the sweep so that an unusable --out fails
-    first; a QcsLabError or MemoryError raised in the block removes it
-    again if this call made it and it is still empty."""
-    made = not Path(args.out).exists()
-    out = _out_dir(args)
+def _claim_out(args):
+    """Make --out for the block that writes into it; if the block raises,
+    remove it again when this call made it and it is still empty."""
+    out = Path(args.out)
+    made = not out.exists()
+    out.mkdir(parents=True, exist_ok=True)
     try:
         yield out
-    except (QcsLabError, MemoryError):
+    except BaseException:
         if made and not any(out.iterdir()):
             out.rmdir()
         raise
+
+
+@dataclass(frozen=True)
+class BoundCurveRow:
+    """One bit depth of a bound curve; is_min is 1 at the curve's minimum."""
+
+    bit_depth: int
+    bound_value: float
+    is_min: int
 
 
 def _add_common(parser):
@@ -142,7 +145,7 @@ def _add_sweep_common(parser):
     """The flags of the commands that run a sweep: its config and overrides."""
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument(
-        "--preset", choices=sorted(presets.preset_names()), default=None
+        "--preset", choices=sorted(presets.preset_descriptions()), default=None
     )
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--isnr", default=None, help="override ISNR comma list")
@@ -166,18 +169,22 @@ def _build_parser() -> _Parser:
     pb.add_argument("--k", type=int, default=10)
     pb.add_argument("--sigma-x2", type=float, default=1.0)
     _add_common(pb)
+    pb.set_defaults(run=_cmd_bound_curve)
 
     ps = sub.add_parser("sweep", help="Monte-Carlo sweep over (budget, B, ISNR)")
     ps.add_argument("--budget", default=None, help="override budgets (comma list)")
     ps.add_argument("--timing", action="store_true", help="record wall times")
     _add_sweep_common(ps)
+    ps.set_defaults(run=_cmd_sweep)
 
     pr = sub.add_parser("regime-map", help="best (M, B) per ISNR at a fixed budget")
     pr.add_argument("--budget", required=True, help="bit budget (xN or absolute)")
     _add_sweep_common(pr)
+    pr.set_defaults(run=_cmd_regime_map)
 
     pp = sub.add_parser("presets", help="preset inspection")
     pp.add_argument("action", choices=["list"])
+    pp.set_defaults(run=_cmd_presets)
     return parser
 
 
@@ -206,33 +213,33 @@ def _cmd_bound_curve(args) -> int:
         curves = [
             bound_mod.optimal_bitdepth(p, bits, mode=args.mode) for p in param_list
         ]
-    out = _out_dir(args)
-    for isnr, curve in zip(isnr_list, curves):
-        tag = _fmt_num(isnr)
-        csv_lines = ["bit_depth,bound_value,is_min"]
-        for b, v in zip(curve.bit_grid, curve.values):
-            csv_lines.append(f"{b},{float(v)!r},{1 if b == curve.argmin_b else 0}")
-        (out / f"bound_curve_isnr{tag}.csv").write_text(
-            "\n".join(csv_lines) + "\n", encoding="utf-8"
-        )
-        min_val = float(curve.values[curve.bit_grid.index(curve.argmin_b)])
-        spec = PlotSpec(
-            series=[
-                Series(
-                    label=f"ISNR {tag} dB",
-                    x=list(curve.bit_grid),
-                    y=[float(v) for v in curve.values],
-                )
-            ],
-            x_label="bit depth B",
-            y_label=(
-                "error bound" if args.mode == "full" else "per-measurement error term"
-            ),
-            title=f"Bound vs bit depth, ISNR {tag} dB (min at B={curve.argmin_b})",
-            markers=[(float(curve.argmin_b), min_val)],
-        )
-        render_svg(spec, out / f"bound_curve_isnr{tag}.svg")
-        print(f"ISNR {tag} dB: optimal B = {curve.argmin_b}")
+    y_label = "error bound" if args.mode == "full" else "per-measurement error term"
+    with _claim_out(args) as out:
+        for isnr, curve in zip(isnr_list, curves):
+            tag = _fmt_num(isnr)
+            rows = [
+                BoundCurveRow(b, float(v), int(b == curve.argmin_b))
+                for b, v in zip(curve.bit_grid, curve.values)
+            ]
+            (out / f"bound_curve_isnr{tag}.csv").write_text(
+                to_csv(rows, BoundCurveRow), encoding="utf-8"
+            )
+            min_val = float(curve.values[curve.bit_grid.index(curve.argmin_b)])
+            spec = PlotSpec(
+                series=[
+                    Series(
+                        label=f"ISNR {tag} dB",
+                        x=list(curve.bit_grid),
+                        y=[float(v) for v in curve.values],
+                    )
+                ],
+                x_label="bit depth B",
+                y_label=y_label,
+                title=f"Bound vs bit depth, ISNR {tag} dB (min at B={curve.argmin_b})",
+                markers=[(float(curve.argmin_b), min_val)],
+            )
+            render_svg(spec, out / f"bound_curve_isnr{tag}.svg")
+            print(f"ISNR {tag} dB: optimal B = {curve.argmin_b}")
     print(f"wrote {2 * len(isnr_list)} files to {out}")
     return EXIT_OK
 
@@ -242,66 +249,57 @@ def _load_sweep_config(args) -> ExperimentConfig:
         raise _UsageError("pass either --config or --preset, not both")
     if args.config:
         cfg = read_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, master_seed=args.seed)
     elif args.preset:
-        cfg = presets.sweep_preset(args.preset, seed=args.seed)
+        cfg = presets.sweep_preset(args.preset)
     else:
         raise _UsageError("one of --config or --preset is required")
+    overrides = {}
+    if args.seed is not None:
+        overrides["master_seed"] = args.seed
     if args.trials is not None:
-        cfg = replace(cfg, trials=args.trials)
+        overrides["trials"] = args.trials
     if args.isnr is not None:
-        cfg = replace(cfg, isnr_list=_parse_float_list(args.isnr, "--isnr"))
+        overrides["isnr_list"] = _parse_float_list(args.isnr, "--isnr")
     if args.bits is not None:
-        cfg = replace(cfg, bit_grid=_parse_bits(args.bits))
-    if args.command == "sweep" and args.budget is not None:
-        raw = [tok.strip() for tok in str(args.budget).split(",") if tok.strip()]
-        cfg = replace(cfg, budgets=raw)
-    return cfg
+        overrides["bit_grid"] = _parse_bits(args.bits)
+    if args.budget is not None:
+        # regime-map maps exactly one budget, so only sweep takes a list.
+        raw = args.budget.split(",") if args.command == "sweep" else [args.budget]
+        overrides["budgets"] = [tok.strip() for tok in raw if tok.strip()]
+    return replace(cfg, **overrides)
 
 
-def _report_partial(table: ResultTable) -> int:
-    if table.skips:
-        print(f"{len(table.skips)} tuple(s) skipped or failed:")
-        for skip in table.skips[:20]:
-            print(
-                f"  budget={skip.budget} B={skip.bit_depth} "
-                f"isnr={_fmt_num(skip.isnr_db)}: {skip.reason}"
-            )
-        if len(table.skips) > 20:
-            print(f"  ... and {len(table.skips) - 20} more")
-    if not table.rows:
-        print("no tuples executed")
-        return EXIT_RUNTIME
-    return EXIT_PARTIAL if table.skips else EXIT_OK
+def _print_skips(table: ResultTable) -> None:
+    if not table.skips:
+        return
+    print(f"{len(table.skips)} tuple(s) skipped or failed:")
+    for skip in table.skips[:20]:
+        print(
+            f"  budget={skip.budget} B={skip.bit_depth} "
+            f"isnr={_fmt_num(skip.isnr_db)}: {skip.reason}"
+        )
+    if len(table.skips) > 20:
+        print(f"  ... and {len(table.skips) - 20} more")
 
 
 def _sweep_svgs(cfg: ExperimentConfig, table: ResultTable, out: Path) -> None:
     # One chart per ISNR, one series per (bit depth, algorithm) pair.
+    ordered = sorted(table.aggregates, key=lambda a: (a.bit_depth, a.algorithm, a.budget))
     for isnr in cfg.isnr_list:
-        series = []
-        keys = sorted(
-            {(a.bit_depth, a.algorithm) for a in table.aggregates if a.isnr_db == float(isnr)}
-        )
-        for bit_depth, algorithm in keys:
-            pts = sorted(
-                (a.budget, a.rsnr_mean)
-                for a in table.aggregates
-                if a.isnr_db == float(isnr)
-                and a.bit_depth == bit_depth
-                and a.algorithm == algorithm
-            )
-            if not pts:
-                continue
-            series.append(
-                Series(
-                    label=f"B={bit_depth} ({algorithm})",
-                    x=[p[0] for p in pts],
-                    y=[p[1] for p in pts],
-                )
-            )
-        if not series:
+        curves = {}
+        for a in ordered:
+            if a.isnr_db == float(isnr):
+                curves.setdefault((a.bit_depth, a.algorithm), []).append(a)
+        if not curves:
             continue
+        series = [
+            Series(
+                label=f"B={bit_depth} ({algorithm})",
+                x=[a.budget for a in aggs],
+                y=[a.rsnr_mean for a in aggs],
+            )
+            for (bit_depth, algorithm), aggs in curves.items()
+        ]
         tag = _fmt_num(isnr)
         spec = PlotSpec(
             series=series,
@@ -312,50 +310,65 @@ def _sweep_svgs(cfg: ExperimentConfig, table: ResultTable, out: Path) -> None:
         render_svg(spec, out / f"rsnr_vs_budget_isnr{tag}.svg")
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_sweep_config(args)
-    with _sweep_out_dir(args) as out:
-        table = run_sweep(cfg, record_timing=args.timing)
+def _sweep_into(cfg: ExperimentConfig, out: Path, record_timing: bool = False) -> ResultTable:
+    """Run cfg's sweep, print its skip reasons, and write results.csv,
+    aggregates.csv and the RSNR charts to out.
+
+    A sweep that executes no tuple writes nothing and raises QcsLabError.
+    """
+    table = run_sweep(cfg, record_timing=record_timing)
+    _print_skips(table)
+    if not table.rows:
+        raise QcsLabError("no tuples executed")
     write_results(table, out / "results.csv")
     write_aggregates(table, out / "aggregates.csv")
     _sweep_svgs(cfg, table, out)
     print(f"{len(table.rows)} result rows, {len(table.aggregates)} aggregates -> {out}")
-    return _report_partial(table)
+    return table
+
+
+def _cmd_sweep(args) -> int:
+    cfg = _load_sweep_config(args)
+    with _claim_out(args) as out:
+        table = _sweep_into(cfg, out, record_timing=args.timing)
+    return EXIT_PARTIAL if table.skips else EXIT_OK
 
 
 def _cmd_regime_map(args) -> int:
+    """The sweep at the one --budget, then its map from the same table."""
     cfg = _load_sweep_config(args)
-    with _sweep_out_dir(args) as out:
-        budget = parse_budget(args.budget, cfg.n)
-        points, table = regime_map(cfg, budget)
-    tag = str(budget)
-    (out / f"regime_map_budget{tag}.csv").write_text(
-        _to_csv(points, RegimePoint), encoding="utf-8"
-    )
-    if points:
-        spec = PlotSpec(
-            series=[
-                Series(
-                    label="measurements M",
-                    x=[p.isnr_db for p in points],
-                    y=[float(p.best_m) for p in points],
-                    axis="left",
-                ),
-                Series(
-                    label="bit depth B",
-                    x=[p.isnr_db for p in points],
-                    y=[float(p.best_b) for p in points],
-                    axis="right",
-                ),
-            ],
-            x_label="ISNR (dB)",
-            y_label="measurements M",
-            y2_label="bit depth B",
-            title=f"Best (M, B) vs ISNR at budget {tag}",
+    (budget,) = cfg.resolved_budgets()
+    with _claim_out(args) as out:
+        table = _sweep_into(cfg, out)
+        points = regime_map(cfg, budget, table)
+        tag = str(budget)
+        (out / f"regime_map_budget{tag}.csv").write_text(
+            to_csv(points, RegimePoint), encoding="utf-8"
         )
-        render_svg(spec, out / f"regime_map_budget{tag}.svg")
+        if points:
+            spec = PlotSpec(
+                series=[
+                    Series(
+                        label="measurements M",
+                        x=[p.isnr_db for p in points],
+                        y=[float(p.best_m) for p in points],
+                        axis="left",
+                    ),
+                    Series(
+                        label="bit depth B",
+                        x=[p.isnr_db for p in points],
+                        y=[float(p.best_b) for p in points],
+                        axis="right",
+                    ),
+                ],
+                x_label="ISNR (dB)",
+                y_label="measurements M",
+                y2_label="bit depth B",
+                title=f"Best (M, B) vs ISNR at budget {tag}",
+            )
+            render_svg(spec, out / f"regime_map_budget{tag}.svg")
     print(f"{len(points)} regime points -> {out}")
-    return _report_partial(table)
+    return EXIT_PARTIAL if table.skips else EXIT_OK
 
 
 def _cmd_presets(_args) -> int:
@@ -372,15 +385,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"qcslab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "bound-curve":
-            return _cmd_bound_curve(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "regime-map":
-            return _cmd_regime_map(args)
-        if args.command == "presets":
-            return _cmd_presets(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except _UsageError as exc:
         print(f"qcslab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,9 +18,9 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, get_args, get_origin, get_type_hints
+from typing import Dict, List, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -46,6 +46,9 @@ from .signal_model import (
 MULTIBIT_ALGORITHMS = ("oracle_ls", "bpdn")
 ONEBIT_ALGORITHMS = ("biht_l1", "biht_l2")
 ALGORITHMS = MULTIBIT_ALGORITHMS + ONEBIT_ALGORITHMS
+# Decoders told the true support; regime_map ranks them only when nothing
+# else was requested.
+ORACLE_ALGORITHMS = ("oracle_ls",)
 MATRIX_KINDS = ("iid_gaussian", "tight_frame")
 QUANTIZERS = ("uniform",)
 THREADS_ENV_VAR = "QCSLAB_THREADS"
@@ -498,6 +501,7 @@ class RegimePoint:
     best_b: int
     best_m: int
     best_rsnr: float
+    best_algorithm: str
     regime: str
 
 
@@ -509,52 +513,43 @@ def classify_regime(best_b: int) -> str:
     return "transition"
 
 
-def regime_map(
-    cfg: ExperimentConfig,
-    budget,
-    table: Optional[ResultTable] = None,
-) -> Tuple[List[RegimePoint], ResultTable]:
+def regime_map(cfg: ExperimentConfig, budget, table: ResultTable) -> List[RegimePoint]:
     """Pick the RSNR-maximizing (M, B) pair per ISNR at a fixed budget.
 
-    Per bit depth the best mean RSNR over the requested algorithms
-    (cfg.algorithms; a given table's other aggregates are passed over) is
-    used; ties between bit depths resolve to the smaller B. Low optimal
-    bit depths classify as the QC regime, high ones as MC.
+    Ranks the aggregates that run_sweep(cfg) put in table at that budget;
+    it runs no trial. The aggregate with the highest mean RSNR wins among
+    the requested practical decoders (cfg.algorithms less
+    ORACLE_ALGORITHMS, or the oracles when nothing else was requested),
+    and best_algorithm names its decoder; ties between bit depths resolve
+    to the smaller B. Low optimal bit depths classify as the QC regime,
+    high ones as MC. An ISNR with no ranked aggregate gets no point.
     """
     resolved = parse_budget(budget, cfg.n)
-    if table is None:
-        sub = replace(cfg, budgets=[resolved])
-        table = run_sweep(sub)
+    ranked = [a for a in cfg.algorithms if a not in ORACLE_ALGORITHMS] or cfg.algorithms
     points = []
     for isnr in cfg.isnr_list:
-        best = None
-        for bit_depth in sorted(cfg.bit_grid):
-            means = [
-                agg.rsnr_mean
-                for agg in table.aggregates
-                if agg.budget == resolved
-                and agg.algorithm in cfg.algorithms
-                and agg.bit_depth == bit_depth
-                and agg.isnr_db == float(isnr)
-            ]
-            if not means:
-                continue
-            score = max(means)
-            if best is None or score > best[1]:
-                best = (bit_depth, score)
-        if best is None:
+        candidates = [
+            agg
+            for agg in table.aggregates
+            if agg.budget == resolved
+            and agg.algorithm in ranked
+            and agg.bit_depth in cfg.bit_grid
+            and agg.isnr_db == float(isnr)
+        ]
+        if not candidates:
             continue
-        bit_depth, score = best
+        best = max(candidates, key=lambda agg: (agg.rsnr_mean, -agg.bit_depth))
         points.append(
             RegimePoint(
                 isnr_db=float(isnr),
-                best_b=bit_depth,
-                best_m=resolved // bit_depth,
-                best_rsnr=score,
-                regime=classify_regime(bit_depth),
+                best_b=best.bit_depth,
+                best_m=best.m,
+                best_rsnr=best.rsnr_mean,
+                best_algorithm=best.algorithm,
+                regime=classify_regime(best.bit_depth),
             )
         )
-    return points, table
+    return points
 
 
 def _cell(value) -> str:
@@ -565,7 +560,10 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _to_csv(records, cls) -> str:
+def to_csv(records, cls) -> str:
+    """CSV text of records of the dataclass cls: a header of its field
+    names in declaration order, then one line per record (floats by repr,
+    None as an empty cell)."""
     columns = [f.name for f in fields(cls)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -574,21 +572,13 @@ def _to_csv(records, cls) -> str:
     return buf.getvalue()
 
 
-def results_to_csv(table: ResultTable) -> str:
-    return _to_csv(table.rows, TrialResult)
-
-
-def aggregates_to_csv(table: ResultTable) -> str:
-    return _to_csv(table.aggregates, AggregateRow)
-
-
 def write_results(table: ResultTable, path) -> None:
     """Write per-trial rows as CSV with the fixed column order."""
-    Path(path).write_text(results_to_csv(table), encoding="utf-8")
+    Path(path).write_text(to_csv(table.rows, TrialResult), encoding="utf-8")
 
 
 def write_aggregates(table: ResultTable, path) -> None:
-    Path(path).write_text(aggregates_to_csv(table), encoding="utf-8")
+    Path(path).write_text(to_csv(table.aggregates, AggregateRow), encoding="utf-8")
 
 
 # CSV cell parsers keyed by a record field's annotated type; _cell writes

@@ -9,14 +9,14 @@ variant of the budget sweep.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict
 
 from .harness import ExperimentConfig
 
 DEFAULT_SEED = 20250810
 
 
-def _fig2(seed: int) -> ExperimentConfig:
+def _fig2() -> ExperimentConfig:
     return ExperimentConfig(
         n=1000,
         k=10,
@@ -24,12 +24,12 @@ def _fig2(seed: int) -> ExperimentConfig:
         bit_grid=list(range(2, 13)),
         isnr_list=[35.0, 20.0, 10.0, 5.0],
         trials=100,
-        master_seed=seed,
+        master_seed=DEFAULT_SEED,
         algorithms=["oracle_ls"],
     )
 
 
-def _fig3(seed: int) -> ExperimentConfig:
+def _fig3() -> ExperimentConfig:
     return ExperimentConfig(
         n=1000,
         k=10,
@@ -37,12 +37,12 @@ def _fig3(seed: int) -> ExperimentConfig:
         bit_grid=[1, 2, 4, 6, 8, 10, 12],
         isnr_list=[35.0, 20.0, 10.0, 5.0],
         trials=100,
-        master_seed=seed,
+        master_seed=DEFAULT_SEED,
         algorithms=["bpdn", "biht_l1", "biht_l2"],
     )
 
 
-def _fig4(seed: int) -> ExperimentConfig:
+def _fig4() -> ExperimentConfig:
     return ExperimentConfig(
         n=1000,
         k=10,
@@ -50,12 +50,12 @@ def _fig4(seed: int) -> ExperimentConfig:
         bit_grid=list(range(1, 13)),
         isnr_list=[float(v) for v in range(5, 46, 2)],
         trials=100,
-        master_seed=seed,
+        master_seed=DEFAULT_SEED,
         algorithms=["bpdn", "biht_l1", "biht_l2"],
     )
 
 
-def _ci(seed: int) -> ExperimentConfig:
+def _ci() -> ExperimentConfig:
     return ExperimentConfig(
         n=256,
         k=4,
@@ -63,13 +63,13 @@ def _ci(seed: int) -> ExperimentConfig:
         bit_grid=[1, 2, 3, 4, 5, 6, 8, 10, 12],
         isnr_list=[35.0, 20.0, 10.0, 5.0],
         trials=30,
-        master_seed=seed,
+        master_seed=DEFAULT_SEED,
         algorithms=["oracle_ls", "bpdn", "biht_l1", "biht_l2"],
     )
 
 
-def _k60(seed: int) -> ExperimentConfig:
-    return replace(_fig3(seed), k=60)
+def _k60() -> ExperimentConfig:
+    return replace(_fig3(), k=60)
 
 
 _SWEEP_PRESETS = {
@@ -81,17 +81,16 @@ _SWEEP_PRESETS = {
 }
 
 
-def sweep_preset(name: str, seed: Optional[int] = None) -> ExperimentConfig:
-    """Instantiate a named sweep preset, optionally overriding the seed."""
-    if name not in _SWEEP_PRESETS:
-        raise KeyError(name)
+def sweep_preset(name: str) -> ExperimentConfig:
+    """A fresh config of the named sweep preset, at master seed DEFAULT_SEED.
+
+    The CLI applies --seed and its other overrides to the returned config.
+    Raises KeyError for a name that preset_descriptions does not list.
+    """
     factory, _ = _SWEEP_PRESETS[name]
-    return factory(DEFAULT_SEED if seed is None else seed)
-
-
-def preset_names() -> List[str]:
-    return list(_SWEEP_PRESETS)
+    return factory()
 
 
 def preset_descriptions() -> Dict[str, str]:
+    """One-line description of each preset, keyed by its name."""
     return {name: desc for name, (_, desc) in _SWEEP_PRESETS.items()}

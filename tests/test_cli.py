@@ -9,7 +9,7 @@ import pytest
 
 from qcslab import harness
 from qcslab.cli import _build_parser, main
-from qcslab.harness import RegimePoint, read_config, regime_map
+from qcslab.harness import RegimePoint, read_config, regime_map, run_sweep
 from qcslab.presets import sweep_preset
 
 
@@ -152,12 +152,22 @@ class TestSweepCmd:
         code = main(["sweep", "--config", str(cfg), "--out", str(out)])
         assert code == 3
 
-    def test_total_failure_exit_2(self, tmp_path):
+    def test_total_failure_exit_2(self, tmp_path, capsys):
+        # m = 2 and 4 < k = 8: no tuple runs, the reasons are printed, and
+        # no file is written.
         cfg = write_tiny_config(
             tmp_path / "cfg.json", n=64, k=8, budgets=[8], bit_grid=[4, 2]
         )
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "m = 2 < k = 8" in captured.out
+        assert captured.err == "qcslab: no tuples executed\n"
+        assert not out.exists()
+        # A directory that was there before the run stays, empty.
+        out.mkdir()
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert out.is_dir() and not any(out.iterdir())
 
     def test_unallocatable_matrix_buffer_exits_2(self, tmp_path, capsys):
         # At n = 10^7, budget 7N and B = 1 the matrix buffer is 5 PiB, past
@@ -259,14 +269,29 @@ class TestRegimeMapCmd:
         rows = read_csv(out / "regime_map_budget128.csv")
         assert len(rows) == 1
         assert rows[0]["regime"] in {"QC", "MC", "transition"}
+        assert rows[0]["best_algorithm"] in {"bpdn", "biht_l1", "biht_l2"}
         assert (out / "regime_map_budget128.svg").exists()
+        # The sweep it ranks is saved too.
+        assert len(read_csv(out / "results.csv")) == 2 * 2 * 3
+        assert len(read_csv(out / "aggregates.csv")) == 6
+
+    def test_writes_the_sweep_at_its_budget(self, tmp_path):
+        cfg = write_tiny_config(tmp_path / "cfg.json", budgets=["1N", "2N"])
+        swept, mapped = tmp_path / "sweep", tmp_path / "map"
+        assert main(["sweep", "--config", str(cfg), "--budget", "2N",
+                     "--out", str(swept)]) == 0
+        assert main(["regime-map", "--config", str(cfg), "--budget", "2N",
+                     "--out", str(mapped)]) == 0
+        for path in swept.iterdir():
+            assert (mapped / path.name).read_bytes() == path.read_bytes()
 
     def test_csv_rows_are_regime_points(self, tmp_path):
         cfg_path = write_tiny_config(tmp_path / "cfg.json", isnr_list=[5.0, 20.0])
         out = tmp_path / "out"
         assert main(["regime-map", "--config", str(cfg_path), "--budget", "2N",
                      "--out", str(out)]) == 0
-        points, _ = regime_map(read_config(cfg_path), "2N")
+        cfg = read_config(cfg_path)
+        points = regime_map(cfg, "2N", run_sweep(cfg))
         with open(out / "regime_map_budget128.csv", newline="") as fh:
             header, *rows = list(csv.reader(fh))
         assert header == [f.name for f in fields(RegimePoint)]
@@ -287,6 +312,28 @@ class TestRegimeMapCmd:
                      "--out", str(out)]) == 1
         assert "config error: budgets:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_budget_list_exits_1(self, tmp_path, capsys):
+        # regime-map maps exactly one budget, where sweep takes a list.
+        cfg = write_tiny_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert main(["regime-map", "--config", str(cfg), "--budget", "1N,2N",
+                     "--out", str(out)]) == 1
+        assert "config error: budgets:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_tuple_exits_2_writing_nothing(self, tmp_path, capsys):
+        # At 7 bits, m = 7, 3 and 1 < k = 8.
+        cfg = write_tiny_config(tmp_path / "cfg.json", k=8)
+        out = tmp_path / "out"
+        assert main(["regime-map", "--config", str(cfg), "--budget", "7",
+                     "--out", str(out)]) == 2
+        assert "m = 7 < k = 8" in capsys.readouterr().out
+        assert not out.exists()
+        out.mkdir()
+        assert main(["regime-map", "--config", str(cfg), "--budget", "7",
+                     "--out", str(out)]) == 2
+        assert out.is_dir() and not any(out.iterdir())
 
 
 class TestPresetsCmd:

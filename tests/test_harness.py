@@ -12,12 +12,7 @@ from hypothesis import strategies as st
 import qcslab as q
 from qcslab import harness
 from qcslab.cli import main
-from qcslab.harness import (
-    AGGREGATE_COLUMNS,
-    RESULT_COLUMNS,
-    aggregates_to_csv,
-    results_to_csv,
-)
+from qcslab.harness import AGGREGATE_COLUMNS, RESULT_COLUMNS, AggregateRow, TrialResult
 from qcslab.quantize import MAX_BITS
 
 
@@ -33,6 +28,11 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return q.ExperimentConfig(**base)
+
+
+def csv_texts(table):
+    """The results and aggregates CSV text of a table, as the CLI writes them."""
+    return q.to_csv(table.rows, TrialResult), q.to_csv(table.aggregates, AggregateRow)
 
 
 class TestBudgetParsing:
@@ -193,8 +193,7 @@ class TestRunSweep:
         t1 = q.run_sweep(cfg)
         monkeypatch.setenv("QCSLAB_THREADS", "3")
         t2 = q.run_sweep(cfg)
-        assert results_to_csv(t1) == results_to_csv(t2)
-        assert aggregates_to_csv(t1) == aggregates_to_csv(t2)
+        assert csv_texts(t1) == csv_texts(t2)
 
     def test_largest_m_runs_first_and_rows_stay_tuple_major(self, monkeypatch):
         # m = 32, 16, 96, 48 in tuple order: not monotone. The pool runs
@@ -226,8 +225,7 @@ class TestRunSweep:
                 for r in t1.rows] == expected
         monkeypatch.setenv("QCSLAB_THREADS", "2")
         t2 = q.run_sweep(cfg)
-        assert results_to_csv(t1) == results_to_csv(t2)
-        assert aggregates_to_csv(t1) == aggregates_to_csv(t2)
+        assert csv_texts(t1) == csv_texts(t2)
 
     def test_failed_trials_stay_in_tuple_order(self, monkeypatch):
         run_trial = harness.run_trial
@@ -417,7 +415,7 @@ class TestRegimeMap:
     def test_tie_prefers_smaller_b(self):
         cfg = tiny_config(bit_grid=[2, 4])
         table = q.ResultTable(rows=[], aggregates=[self._agg(2, 15.0), self._agg(4, 15.0)])
-        points, _ = q.regime_map(cfg, 128, table=table)
+        points = q.regime_map(cfg, 128, table)
         assert len(points) == 1
         assert points[0].best_b == 2
         assert points[0].best_m == 64
@@ -433,9 +431,10 @@ class TestRegimeMap:
                 self._agg(4, 12.0, "bpdn"),
             ],
         )
-        points, _ = q.regime_map(cfg, 128, table=table)
+        points = q.regime_map(cfg, 128, table)
         assert points[0].best_b == 1
         assert points[0].best_rsnr == 14.0
+        assert points[0].best_algorithm == "biht_l2"
 
     def test_only_the_configured_algorithms_count(self):
         # The oracle's aggregate would win at B = 4, but the config does
@@ -449,14 +448,38 @@ class TestRegimeMap:
                 self._agg(4, 20.0, "oracle_ls"),
             ],
         )
-        points, _ = q.regime_map(cfg, 128, table=table)
+        points = q.regime_map(cfg, 128, table)
         assert points[0].best_b == 1
         assert points[0].best_rsnr == 14.0
 
+    def test_requested_oracle_does_not_compete(self):
+        # The oracle is requested and its aggregate would win at B = 4, but
+        # it knows the true support: the practical decoders decide.
+        cfg = tiny_config(bit_grid=[1, 4], algorithms=["oracle_ls", "bpdn", "biht_l2"])
+        table = q.ResultTable(
+            rows=[],
+            aggregates=[
+                self._agg(1, 14.0, "biht_l2"),
+                self._agg(4, 12.0, "bpdn"),
+                self._agg(4, 20.0, "oracle_ls"),
+            ],
+        )
+        (point,) = q.regime_map(cfg, 128, table)
+        assert (point.best_b, point.best_algorithm, point.best_rsnr) == (1, "biht_l2", 14.0)
+
+    def test_oracle_only_config_maps_with_the_oracle(self):
+        cfg = tiny_config(bit_grid=[2, 4], algorithms=["oracle_ls"])
+        table = q.ResultTable(
+            rows=[],
+            aggregates=[self._agg(2, 15.0, "oracle_ls"), self._agg(4, 18.0, "oracle_ls")],
+        )
+        (point,) = q.regime_map(cfg, 128, table)
+        assert (point.best_b, point.best_algorithm) == (4, "oracle_ls")
+
     def test_runs_end_to_end(self):
         cfg = tiny_config(trials=2)
-        points, table = q.regime_map(cfg, "2N")
-        assert len(points) == 1
-        assert table.rows
-        assert points[0].best_b in {1, 2, 4}
-        assert points[0].regime in {"QC", "MC", "transition"}
+        table = q.run_sweep(cfg)
+        (point,) = q.regime_map(cfg, "2N", table)
+        assert point.best_b in {1, 2, 4}
+        assert point.best_algorithm in {"bpdn", "biht_l1", "biht_l2"}
+        assert point.regime in {"QC", "MC", "transition"}
