@@ -5,7 +5,8 @@ running the same invocation twice produces byte-identical CSV and SVG
 outputs (wall-clock timing is opt-in via --timing for that reason).
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure,
-3 partial failure (some tuples skipped or failed).
+3 partial failure (some tuples skipped or failed, or a regime-map budget
+left without a map).
 """
 
 from __future__ import annotations
@@ -150,6 +151,7 @@ def _add_sweep_common(parser):
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--isnr", default=None, help="override ISNR comma list")
     parser.add_argument("--bits", default=None, help="override bit grid")
+    parser.add_argument("--budget", default=None, help="override budgets (comma list)")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     _add_common(parser)
 
@@ -172,13 +174,11 @@ def _build_parser() -> _Parser:
     pb.set_defaults(run=_cmd_bound_curve)
 
     ps = sub.add_parser("sweep", help="Monte-Carlo sweep over (budget, B, ISNR)")
-    ps.add_argument("--budget", default=None, help="override budgets (comma list)")
     ps.add_argument("--timing", action="store_true", help="record wall times")
     _add_sweep_common(ps)
     ps.set_defaults(run=_cmd_sweep)
 
-    pr = sub.add_parser("regime-map", help="best (M, B) per ISNR at a fixed budget")
-    pr.add_argument("--budget", required=True, help="bit budget (xN or absolute)")
+    pr = sub.add_parser("regime-map", help="sweep, then best B per ISNR at each budget")
     _add_sweep_common(pr)
     pr.set_defaults(run=_cmd_regime_map)
 
@@ -263,9 +263,7 @@ def _load_sweep_config(args) -> ExperimentConfig:
     if args.bits is not None:
         overrides["bit_grid"] = _parse_bits(args.bits)
     if args.budget is not None:
-        # regime-map maps exactly one budget, so only sweep takes a list.
-        raw = args.budget.split(",") if args.command == "sweep" else [args.budget]
-        overrides["budgets"] = [tok.strip() for tok in raw if tok.strip()]
+        overrides["budgets"] = [tok.strip() for tok in args.budget.split(",") if tok.strip()]
     return replace(cfg, **overrides)
 
 
@@ -335,40 +333,39 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_regime_map(args) -> int:
-    """The sweep at the one --budget, then its map from the same table."""
+    """The sweep, then one map per budget from the same table.
+
+    A budget whose map has no point is named and gets no file, and the
+    command exits 3.
+    """
     cfg = _load_sweep_config(args)
-    (budget,) = cfg.resolved_budgets()
+    unmapped = []
     with _claim_out(args) as out:
         table = _sweep_into(cfg, out)
-        points = regime_map(cfg, budget, table)
-        tag = str(budget)
-        (out / f"regime_map_budget{tag}.csv").write_text(
-            to_csv(points, RegimePoint), encoding="utf-8"
-        )
-        if points:
+        for budget in cfg.resolved_budgets():
+            points = regime_map(cfg, budget, table)
+            if not points:
+                unmapped.append(budget)
+                print(f"budget {budget}: no regime map: none of the decoders it ranks ran")
+                continue
+            (out / f"regime_map_budget{budget}.csv").write_text(
+                to_csv(points, RegimePoint), encoding="utf-8"
+            )
             spec = PlotSpec(
                 series=[
-                    Series(
-                        label="measurements M",
-                        x=[p.isnr_db for p in points],
-                        y=[float(p.best_m) for p in points],
-                        axis="left",
-                    ),
                     Series(
                         label="bit depth B",
                         x=[p.isnr_db for p in points],
                         y=[float(p.best_b) for p in points],
-                        axis="right",
-                    ),
+                    )
                 ],
                 x_label="ISNR (dB)",
-                y_label="measurements M",
-                y2_label="bit depth B",
-                title=f"Best (M, B) vs ISNR at budget {tag}",
+                y_label="best bit depth B",
+                title=f"Best bit depth vs ISNR at budget {budget}",
             )
-            render_svg(spec, out / f"regime_map_budget{tag}.svg")
-    print(f"{len(points)} regime points -> {out}")
-    return EXIT_PARTIAL if table.skips else EXIT_OK
+            render_svg(spec, out / f"regime_map_budget{budget}.svg")
+            print(f"budget {budget}: {len(points)} regime points -> {out}")
+    return EXIT_PARTIAL if table.skips or unmapped else EXIT_OK
 
 
 def _cmd_presets(_args) -> int:

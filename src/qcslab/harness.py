@@ -464,8 +464,7 @@ def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable
     def _attempt(task):
         (budget, bit_depth, isnr), trial = task
         if not hasattr(worker, "matrix"):
-            # Made 2-D first, so that numpy's MemoryError names the shape.
-            worker.matrix = np.empty((largest, cfg.n)).reshape(-1)
+            worker.matrix = np.empty((largest, cfg.n))
         try:
             return run_trial(
                 cfg, budget, bit_depth, isnr, trial, record_timing,

@@ -125,20 +125,21 @@ def gen_gaussian_matrix(
 ) -> SensingMatrix:
     """I.i.d. Gaussian sensing matrix with per-entry variance 1/m.
 
-    With out, a float64 vector of at least m*n entries, the entries are
-    drawn into its first m*n: the result aliases out, so it is valid only
-    until out is written again. The draws are the same as without out.
+    With out, a C-contiguous float64 array of at least m rows and n
+    columns, the entries are drawn into out[:m]: the result aliases out,
+    so it is valid only until out is written again. The draws are the
+    same as without out.
     """
     if m < 1 or n < 1:
         raise InvalidParameterError("matrix dimensions must be >= 1")
     if out is None:
         entries = rng.standard_normal((m, n))
-    elif out.ndim != 1 or out.size < m * n:
+    elif out.ndim != 2 or out.shape[0] < m or out.shape[1] != n:
         raise InvalidParameterError(
-            f"out must be a vector of at least {m * n} entries, not {out.shape}"
+            f"out must have at least {m} rows and {n} columns, not shape {out.shape}"
         )
     else:
-        entries = rng.standard_normal(out=out[: m * n].reshape(m, n))
+        entries = rng.standard_normal(out=out[:m])
     entries /= math.sqrt(m)
     return SensingMatrix(entries)
 

@@ -2,7 +2,8 @@
 
 Identical plot specs always render to identical bytes: coordinates are
 formatted with fixed precision and no timestamps or random ids are
-embedded. Supports an optional secondary y axis for dual-scale charts.
+embedded. Every series shares the one y axis; the legend sits in the
+right margin.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ class Series:
     label: str
     x: Sequence[float]
     y: Sequence[float]
-    axis: str = "left"
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,6 @@ class PlotSpec:
     x_label: str
     y_label: str
     title: Optional[str] = None
-    y2_label: Optional[str] = None
     markers: Sequence[Tuple[float, float]] = field(default_factory=tuple)
 
 
@@ -114,8 +113,6 @@ def render_svg(spec: PlotSpec, path) -> None:
             raise InvalidParameterError(f"series {s.label!r} has mismatched x/y")
         if len(s.x) == 0:
             raise InvalidParameterError(f"series {s.label!r} is empty")
-        if s.axis not in ("left", "right"):
-            raise InvalidParameterError("series axis must be 'left' or 'right'")
 
     plot_l, plot_r = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
     plot_t, plot_b = MARGIN_TOP, HEIGHT - MARGIN_BOTTOM
@@ -124,18 +121,15 @@ def render_svg(spec: PlotSpec, path) -> None:
     xs += [float(mx) for mx, _ in spec.markers]
     x_lo, x_hi = _data_range(xs)
 
-    left_vals = [float(v) for s in spec.series if s.axis == "left" for v in s.y]
-    left_vals += [float(my) for _, my in spec.markers]
-    right_vals = [float(v) for s in spec.series if s.axis == "right" for v in s.y]
-    y_lo, y_hi = _data_range(left_vals) if left_vals else (0.0, 1.0)
-    y2_lo, y2_hi = _data_range(right_vals) if right_vals else (0.0, 1.0)
+    ys = [float(v) for s in spec.series for v in s.y]
+    ys += [float(my) for _, my in spec.markers]
+    y_lo, y_hi = _data_range(ys)
 
     def x_px(v: float) -> float:
         return plot_l + (v - x_lo) / (x_hi - x_lo) * (plot_r - plot_l)
 
-    def y_px(v: float, axis: str = "left") -> float:
-        lo, hi = (y_lo, y_hi) if axis == "left" else (y2_lo, y2_hi)
-        return plot_b - (v - lo) / (hi - lo) * (plot_b - plot_t)
+    def y_px(v: float) -> float:
+        return plot_b - (v - y_lo) / (y_hi - y_lo) * (plot_b - plot_t)
 
     out = []
     out.append(
@@ -159,13 +153,6 @@ def render_svg(spec: PlotSpec, path) -> None:
             f'<text x="{plot_l - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
             f'font-size="12" font-family="Helvetica">{_fmt_tick(tick)}</text>'
         )
-    if right_vals:
-        for tick in _nice_ticks(y2_lo, y2_hi):
-            py = y_px(tick, "right")
-            out.append(
-                f'<text x="{plot_r + 8}" y="{_fmt(py + 4)}" text-anchor="start" '
-                f'font-size="12" font-family="Helvetica">{_fmt_tick(tick)}</text>'
-            )
     for tick in _nice_ticks(x_lo, x_hi):
         px = x_px(tick)
         out.append(
@@ -185,11 +172,6 @@ def render_svg(spec: PlotSpec, path) -> None:
         f'<line x1="{plot_l}" y1="{plot_t}" x2="{plot_l}" y2="{plot_b}" '
         'stroke="#000000" stroke-width="1.5"/>'
     )
-    if right_vals:
-        out.append(
-            f'<line x1="{plot_r}" y1="{plot_t}" x2="{plot_r}" y2="{plot_b}" '
-            'stroke="#000000" stroke-width="1.5"/>'
-        )
 
     legend_x = plot_r + 46
     legend_y = plot_t + 10
@@ -197,22 +179,21 @@ def render_svg(spec: PlotSpec, path) -> None:
         color = COLORS[i % len(COLORS)]
         pts = sorted(zip(s.x, s.y), key=lambda p: p[0])
         coords = " ".join(
-            f"{_fmt(x_px(float(x)))},{_fmt(y_px(float(y), s.axis))}" for x, y in pts
+            f"{_fmt(x_px(float(x)))},{_fmt(y_px(float(y)))}" for x, y in pts
         )
-        dash = ' stroke-dasharray="7,4"' if s.axis == "right" else ""
         out.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="2"{dash} '
+            f'<polyline fill="none" stroke="{color}" stroke-width="2" '
             f'points="{coords}"/>'
         )
         for x, y in pts:
             out.append(
-                f'<circle cx="{_fmt(x_px(float(x)))}" cy="{_fmt(y_px(float(y), s.axis))}" '
+                f'<circle cx="{_fmt(x_px(float(x)))}" cy="{_fmt(y_px(float(y)))}" '
                 f'r="3" fill="{color}"/>'
             )
         ly = legend_y + i * 20
         out.append(
             f'<line x1="{legend_x}" y1="{ly}" x2="{legend_x + 22}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"{dash}/>'
+            f'stroke="{color}" stroke-width="2"/>'
         )
         out.append(
             f'<text x="{legend_x + 28}" y="{ly + 4}" font-size="12" '
@@ -235,13 +216,6 @@ def render_svg(spec: PlotSpec, path) -> None:
         f'font-family="Helvetica" transform="rotate(-90 22 {mid_y:.1f})">'
         f"{_escape(spec.y_label)}</text>"
     )
-    if spec.y2_label:
-        x2 = plot_r + 34
-        out.append(
-            f'<text x="{x2}" y="{mid_y:.1f}" text-anchor="middle" font-size="14" '
-            f'font-family="Helvetica" transform="rotate(90 {x2} {mid_y:.1f})">'
-            f"{_escape(spec.y2_label)}</text>"
-        )
     out.append("</svg>")
 
     Path(path).write_bytes("\n".join(out).encode("utf-8"))

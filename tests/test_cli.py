@@ -301,9 +301,13 @@ class TestRegimeMapCmd:
             RegimePoint(*(hints[c](cell) for c, cell in zip(header, row))) for row in rows
         ] == points
 
-    def test_budget_required(self, tmp_path):
-        cfg = write_tiny_config(tmp_path / "cfg.json")
-        assert main(["regime-map", "--config", str(cfg)]) == 1
+    def test_no_budget_maps_every_config_budget(self, tmp_path):
+        cfg = write_tiny_config(tmp_path / "cfg.json", budgets=["1N", "2N"])
+        out = tmp_path / "out"
+        assert main(["regime-map", "--config", str(cfg), "--out", str(out)]) == 0
+        for budget in (64, 128):
+            assert len(read_csv(out / f"regime_map_budget{budget}.csv")) == 1
+            assert (out / f"regime_map_budget{budget}.svg").exists()
 
     def test_bad_budget_exits_1_leaving_no_out_dir(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path / "cfg.json")
@@ -313,14 +317,34 @@ class TestRegimeMapCmd:
         assert "config error: budgets:" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_budget_list_exits_1(self, tmp_path, capsys):
-        # regime-map maps exactly one budget, where sweep takes a list.
-        cfg = write_tiny_config(tmp_path / "cfg.json")
-        out = tmp_path / "out"
+    def test_budget_list_maps_each_budget(self, tmp_path):
+        # One sweep over the list; each budget's map is the one a run at
+        # that budget alone writes.
+        cfg = write_tiny_config(tmp_path / "cfg.json", isnr_list=[5.0, 20.0])
+        both = tmp_path / "both"
         assert main(["regime-map", "--config", str(cfg), "--budget", "1N,2N",
-                     "--out", str(out)]) == 1
-        assert "config error: budgets:" in capsys.readouterr().err
-        assert not out.exists()
+                     "--out", str(both)]) == 0
+        for flag, budget in (("1N", 64), ("2N", 128)):
+            alone = tmp_path / flag
+            assert main(["regime-map", "--config", str(cfg), "--budget", flag,
+                         "--out", str(alone)]) == 0
+            for suffix in ("csv", "svg"):
+                name = f"regime_map_budget{budget}.{suffix}"
+                assert (both / name).read_bytes() == (alone / name).read_bytes()
+
+    def test_empty_map_exits_3_writing_no_map(self, tmp_path, capsys):
+        # biht_l1 applies at no bit depth of the grid, and the oracle,
+        # which runs, does not compete with it.
+        cfg = write_tiny_config(
+            tmp_path / "cfg.json", algorithms=["oracle_ls", "biht_l1"], bit_grid=[2, 4]
+        )
+        out = tmp_path / "out"
+        assert main(["regime-map", "--config", str(cfg), "--budget", "2N",
+                     "--out", str(out)]) == 3
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-1] == "budget 128: no regime map: none of the decoders it ranks ran"
+        assert not list(out.glob("regime_map_*"))
+        assert (out / "results.csv").exists()
 
     def test_no_tuple_exits_2_writing_nothing(self, tmp_path, capsys):
         # At 7 bits, m = 7, 3 and 1 < k = 8.

@@ -97,14 +97,16 @@ class TestGaussianMatrix:
         assert np.array_equal(phi.entries, draw)
 
     def test_buffer_draw_matches_fresh_draw(self):
-        buf = np.full(300 * 1000 + 5, np.nan)
-        for m, n in [(300, 1000), (7, 3), (1, 1)]:
+        for m, n, rows in [(300, 1000, 300), (7, 3, 9), (1, 1, 4)]:
+            buf = np.full((rows, n), np.nan)
             phi = q.gen_gaussian_matrix(m, n, np.random.default_rng(42), out=buf)
             fresh = q.gen_gaussian_matrix(m, n, np.random.default_rng(42))
             assert phi.entries.tobytes() == fresh.entries.tobytes()
             assert np.shares_memory(phi.entries, buf)
-        with pytest.raises(q.InvalidParameterError):
-            q.gen_gaussian_matrix(4, 5, np.random.default_rng(0), out=np.empty(19))
+            assert np.isnan(buf[m:]).all()
+        for bad in [np.empty(20), np.empty((3, 5)), np.empty((4, 6))]:
+            with pytest.raises(q.InvalidParameterError):
+                q.gen_gaussian_matrix(4, 5, np.random.default_rng(0), out=bad)
 
 
 class TestTightFrame:

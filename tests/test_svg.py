@@ -41,20 +41,6 @@ class TestRenderSvg:
         q.render_svg(simple_spec(title="a < b & c"), path)
         ET.fromstring(path.read_text())
 
-    def test_dual_axis(self, tmp_path):
-        path = tmp_path / "c.svg"
-        spec = simple_spec(
-            series=[
-                Series(label="left", x=[1, 2], y=[10.0, 20.0]),
-                Series(label="right", x=[1, 2], y=[1.0, 2.0], axis="right"),
-            ],
-            y2_label="secondary",
-        )
-        q.render_svg(spec, path)
-        text = path.read_text()
-        assert "stroke-dasharray" in text
-        assert "secondary" in text
-
     def test_validation(self, tmp_path):
         with pytest.raises(q.InvalidParameterError):
             q.render_svg(PlotSpec(series=[], x_label="x", y_label="y"), tmp_path / "x")
