@@ -1,18 +1,17 @@
-"""Command-line surface: bound curves, sweeps, regime maps, presets.
+"""Command-line surface: bound curves, sweeps with their regime maps, presets.
 
 Every command is a pure function of its flags, config file, and seed:
 running the same invocation twice produces byte-identical CSV and SVG
 outputs (wall-clock timing is opt-in via --timing for that reason).
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure,
-3 partial failure (some tuples skipped or failed, or a regime-map budget
-left without a map).
+3 partial failure (some tuples skipped or failed, or a sweep budget left
+without a regime map).
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -26,6 +25,7 @@ from .harness import (
     ExperimentConfig,
     RegimePoint,
     ResultTable,
+    check_signal,
     parse_budget,
     read_config,
     regime_map,
@@ -92,12 +92,11 @@ def _bound_budget(args) -> int:
 
     Each check adds one flag's value, so a domain error names that flag.
     """
-    if args.n < 1:
-        raise _UsageError("--n: must be >= 1")
-    if not 1 <= args.k <= args.n:
-        raise _UsageError("--k: must satisfy 1 <= k <= n")
-    if not 0 < args.sigma_x2 < math.inf:
-        raise _UsageError("--sigma-x2: must be positive and finite")
+    try:
+        check_signal(args.n, args.k, args.sigma_x2)
+    except ConfigError as exc:  # named by the field; its flag is --<field>
+        flag = "--" + exc.field.replace("_", "-")
+        raise _UsageError(flag + str(exc)[len(exc.field):]) from exc
     with _blame("--budget"):
         budget = parse_budget(args.budget, args.n)
         params = bound_mod.BoundParams(args.n, args.k, args.sigma_x2, 0.0, budget)
@@ -109,9 +108,12 @@ def _bound_budget(args) -> int:
 
 
 def _fmt_num(value: float) -> str:
-    if float(value).is_integer():
+    """value for a file name or a message: integral values below 1e15 as
+    integers (20 for 20.0), any other by repr (1e+308, not 309 digits)."""
+    value = float(value)
+    if value.is_integer() and abs(value) < 1e15:
         return str(int(value))
-    return repr(float(value))
+    return repr(value)
 
 
 @contextmanager
@@ -142,20 +144,6 @@ def _add_common(parser):
     parser.add_argument("--out", default="qcslab_out", help="output directory")
 
 
-def _add_sweep_common(parser):
-    """The flags of the commands that run a sweep: its config and overrides."""
-    parser.add_argument("--config", default=None, help="JSON config path")
-    parser.add_argument(
-        "--preset", choices=sorted(presets.preset_descriptions()), default=None
-    )
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--isnr", default=None, help="override ISNR comma list")
-    parser.add_argument("--bits", default=None, help="override bit grid")
-    parser.add_argument("--budget", default=None, help="override budgets (comma list)")
-    parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    _add_common(parser)
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qcslab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -173,14 +161,19 @@ def _build_parser() -> _Parser:
     _add_common(pb)
     pb.set_defaults(run=_cmd_bound_curve)
 
-    ps = sub.add_parser("sweep", help="Monte-Carlo sweep over (budget, B, ISNR)")
+    ps = sub.add_parser(
+        "sweep", help="Monte-Carlo sweep over (budget, B, ISNR), one regime map per budget"
+    )
+    ps.add_argument("--config", default=None, help="JSON config path")
+    ps.add_argument("--preset", choices=sorted(presets.preset_descriptions()))
+    ps.add_argument("--trials", type=int, default=None)
+    ps.add_argument("--isnr", default=None, help="override ISNR comma list")
+    ps.add_argument("--bits", default=None, help="override bit grid")
+    ps.add_argument("--budget", default=None, help="override budgets (comma list)")
+    ps.add_argument("--seed", type=int, default=None, help="master seed override")
     ps.add_argument("--timing", action="store_true", help="record wall times")
-    _add_sweep_common(ps)
+    _add_common(ps)
     ps.set_defaults(run=_cmd_sweep)
-
-    pr = sub.add_parser("regime-map", help="sweep, then best B per ISNR at each budget")
-    _add_sweep_common(pr)
-    pr.set_defaults(run=_cmd_regime_map)
 
     pp = sub.add_parser("presets", help="preset inspection")
     pp.add_argument("action", choices=["list"])
@@ -308,11 +301,14 @@ def _sweep_svgs(cfg: ExperimentConfig, table: ResultTable, out: Path) -> None:
         render_svg(spec, out / f"rsnr_vs_budget_isnr{tag}.svg")
 
 
-def _sweep_into(cfg: ExperimentConfig, out: Path, record_timing: bool = False) -> ResultTable:
-    """Run cfg's sweep, print its skip reasons, and write results.csv,
-    aggregates.csv and the RSNR charts to out.
+def _sweep_into(cfg: ExperimentConfig, out: Path, record_timing: bool = False) -> int:
+    """Run cfg's sweep, print its skip reasons, write results.csv,
+    aggregates.csv, the RSNR charts and one regime map (best B per ISNR)
+    per budget to out, and return the exit code.
 
     A sweep that executes no tuple writes nothing and raises QcsLabError.
+    A budget whose map has no point is named and gets no file; it, like a
+    skipped or failed tuple, makes the exit code 3.
     """
     table = run_sweep(cfg, record_timing=record_timing)
     _print_skips(table)
@@ -322,50 +318,37 @@ def _sweep_into(cfg: ExperimentConfig, out: Path, record_timing: bool = False) -
     write_aggregates(table, out / "aggregates.csv")
     _sweep_svgs(cfg, table, out)
     print(f"{len(table.rows)} result rows, {len(table.aggregates)} aggregates -> {out}")
-    return table
+    unmapped = []
+    for budget in cfg.resolved_budgets():
+        points = regime_map(cfg, budget, table)
+        if not points:
+            unmapped.append(budget)
+            print(f"budget {budget}: no regime map: none of the decoders it ranks ran")
+            continue
+        (out / f"regime_map_budget{budget}.csv").write_text(
+            to_csv(points, RegimePoint), encoding="utf-8"
+        )
+        spec = PlotSpec(
+            series=[
+                Series(
+                    label="bit depth B",
+                    x=[p.isnr_db for p in points],
+                    y=[float(p.best_b) for p in points],
+                )
+            ],
+            x_label="ISNR (dB)",
+            y_label="best bit depth B",
+            title=f"Best bit depth vs ISNR at budget {budget}",
+        )
+        render_svg(spec, out / f"regime_map_budget{budget}.svg")
+        print(f"budget {budget}: {len(points)} regime points -> {out}")
+    return EXIT_PARTIAL if table.skips or unmapped else EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load_sweep_config(args)
     with _claim_out(args) as out:
-        table = _sweep_into(cfg, out, record_timing=args.timing)
-    return EXIT_PARTIAL if table.skips else EXIT_OK
-
-
-def _cmd_regime_map(args) -> int:
-    """The sweep, then one map per budget from the same table.
-
-    A budget whose map has no point is named and gets no file, and the
-    command exits 3.
-    """
-    cfg = _load_sweep_config(args)
-    unmapped = []
-    with _claim_out(args) as out:
-        table = _sweep_into(cfg, out)
-        for budget in cfg.resolved_budgets():
-            points = regime_map(cfg, budget, table)
-            if not points:
-                unmapped.append(budget)
-                print(f"budget {budget}: no regime map: none of the decoders it ranks ran")
-                continue
-            (out / f"regime_map_budget{budget}.csv").write_text(
-                to_csv(points, RegimePoint), encoding="utf-8"
-            )
-            spec = PlotSpec(
-                series=[
-                    Series(
-                        label="bit depth B",
-                        x=[p.isnr_db for p in points],
-                        y=[float(p.best_b) for p in points],
-                    )
-                ],
-                x_label="ISNR (dB)",
-                y_label="best bit depth B",
-                title=f"Best bit depth vs ISNR at budget {budget}",
-            )
-            render_svg(spec, out / f"regime_map_budget{budget}.svg")
-            print(f"budget {budget}: {len(points)} regime points -> {out}")
-    return EXIT_PARTIAL if table.skips or unmapped else EXIT_OK
+        return _sweep_into(cfg, out, record_timing=args.timing)
 
 
 def _cmd_presets(_args) -> int:

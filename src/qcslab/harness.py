@@ -112,6 +112,16 @@ def _parse_value(name, tp, value):
     return _CONFIG_PARSERS[tp](name, value)
 
 
+def check_signal(n: int, k: int, sigma_x2: float) -> None:
+    """Reject a signal model outside its domain; the error names the field."""
+    if n < 1:
+        raise ConfigError("n", "must be >= 1")
+    if not 1 <= k <= n:
+        raise ConfigError("k", "must satisfy 1 <= k <= n")
+    if not 0 < sigma_x2 < math.inf:
+        raise ConfigError("sigma_x2", "must be positive and finite")
+
+
 def _distinct(name, values):
     """Reject a repeated entry, which would run and count its tuples twice."""
     if len(set(values)) != len(values):
@@ -135,12 +145,7 @@ class ExperimentConfig:
     quantizer: str = "uniform"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("n", "must be >= 1")
-        if not 1 <= self.k <= self.n:
-            raise ConfigError("k", "must satisfy 1 <= k <= n")
-        if not 0 < self.sigma_x2 < math.inf:
-            raise ConfigError("sigma_x2", "must be positive and finite")
+        check_signal(self.n, self.k, self.sigma_x2)
         if self.trials < 1:
             raise ConfigError("trials", "must be >= 1")
         if not self.budgets:
@@ -261,6 +266,11 @@ class ResultTable:
     skips: List[SkipRecord] = field(default_factory=list)
 
 
+def _measurements(budget: int, bit_depth: int) -> int:
+    """The measurements of bit_depth bits that a budget of bits buys."""
+    return budget // bit_depth
+
+
 def _applicable_algorithms(algorithms, bit_depth: int) -> List[str]:
     family = ONEBIT_ALGORITHMS if bit_depth == 1 else MULTIBIT_ALGORITHMS
     return [a for a in algorithms if a in family]
@@ -297,7 +307,7 @@ def run_trial(
     Phi is drawn into matrix_buffer when one is given (see
     gen_gaussian_matrix's out); the rows are the same either way.
     """
-    m = budget // bit_depth
+    m = _measurements(budget, bit_depth)
     seed = derive_seed(
         cfg.master_seed,
         cfg.n,
@@ -435,36 +445,37 @@ def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable
     that no worker is left alone with a large trial at the end.
     Each worker draws its matrices into one buffer sized for the largest,
     so peak memory is about the workers used x the largest matrix; a
-    MemoryError, from that buffer or from within a trial, ends the sweep.
+    MemoryError, from that buffer or from within a trial, ends the sweep
+    (a buffer too large for numpy to represent raises one too).
     Output ordering is tuple-major then trial-major and independent of
     the worker count. Wall times are recorded only with record_timing,
     keeping default output bytes reproducible run to run.
     """
-    tasks = []
+    tasks = []  # (m, tuple, trial)
     skips: List[SkipRecord] = []
     for budget in cfg.resolved_budgets():
         for bit_depth in cfg.bit_grid:
-            reason = _skip_reason(cfg, budget // bit_depth, bit_depth)
+            m = _measurements(budget, bit_depth)
+            reason = _skip_reason(cfg, m, bit_depth)
             for isnr in cfg.isnr_list:
                 if reason:
                     skips.append(SkipRecord(budget, bit_depth, isnr, reason))
                 else:
                     tup = (budget, bit_depth, isnr)
-                    tasks.extend((tup, trial) for trial in range(cfg.trials))
-
-    def _m(task):
-        (budget, bit_depth, _), _ = task
-        return budget // bit_depth
+                    tasks.extend((m, tup, trial) for trial in range(cfg.trials))
 
     # A matrix drawn fresh per trial and then freed can stay resident in
     # the allocator's per-thread arenas, so each worker reuses one buffer.
-    largest = max(map(_m, tasks), default=0)
+    largest = max((m for m, _, _ in tasks), default=0)
     worker = threading.local()
 
     def _attempt(task):
-        (budget, bit_depth, isnr), trial = task
+        _, (budget, bit_depth, isnr), trial = task
         if not hasattr(worker, "matrix"):
-            worker.matrix = np.empty((largest, cfg.n))
+            try:
+                worker.matrix = np.empty((largest, cfg.n))
+            except ValueError as exc:  # a size numpy cannot even represent
+                raise MemoryError(f"matrix buffer ({largest}, {cfg.n}): {exc}") from None
         try:
             return run_trial(
                 cfg, budget, bit_depth, isnr, trial, record_timing,
@@ -476,13 +487,13 @@ def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable
     cap = _worker_count()  # validated whether or not a pool runs
     workers = 1 if cfg.n <= _SERIAL_MAX_N else max(1, min(cap, len(tasks)))
     # Largest m first (a stable sort); the outcomes go back in task order.
-    order = sorted(range(len(tasks)), key=lambda i: -_m(tasks[i]))
+    order = sorted(range(len(tasks)), key=lambda i: -tasks[i][0])
     outcomes = [None] * len(tasks)
     ran = _map_trials(_attempt, [tasks[i] for i in order], workers)
     for i, outcome in zip(order, ran):
         outcomes[i] = outcome
     rows: List[TrialResult] = []
-    for (tup, _), outcome in zip(tasks, outcomes):
+    for (_, tup, _), outcome in zip(tasks, outcomes):
         if isinstance(outcome, str):
             skips.append(SkipRecord(*tup, outcome))
         else:

@@ -344,13 +344,19 @@ def test_criterion_10_determinism(tmp_path, child_env):
                 {p.name: p.read_bytes() for p in sorted(out.iterdir())}
             )
         runs.append(digests)
+    # Each run writes the sweep's files and one regime map per budget.
+    expected = [
+        {"results.csv", "aggregates.csv", "rsnr_vs_budget_isnr10.svg"}
+        | {f"regime_map_budget{b}.{x}" for b in cfg.resolved_budgets() for x in ("csv", "svg")}
+        for cfg in configs
+    ]
     ok = all(
-        set(digests[0]) == {"results.csv", "aggregates.csv", "rsnr_vs_budget_isnr10.svg"}
-        and digests[0] == digests[1] == digests[2]
-        for digests in runs
+        set(digests[0]) == names and digests[0] == digests[1] == digests[2]
+        for digests, names in zip(runs, expected)
     )
     _verdict(10, "byte-identical outputs across reruns and thread counts", ok)
-    for digests in runs:
+    for digests, names in zip(runs, expected):
+        assert set(digests[0]) == names
         assert digests[0] == digests[1] == digests[2]
 
 

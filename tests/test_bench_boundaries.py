@@ -5,13 +5,14 @@ the benchmark runs.
 and `qcslab.harness`, and reports a missing one as absent rather than
 failing. A rename or deletion of such a name fails here instead, and so
 does a `sweep` path that stops calling one of them. Each workload of
-`BENCHMARK.json` also runs once at its tiny size, so that a change that
-breaks the benchmark fails here too.
+`BENCHMARK.json` also runs once at its tiny size, from a copy of the
+checkout, so that a change that breaks the benchmark fails here too.
 """
 
 import importlib
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -79,17 +80,36 @@ def test_sweep_command_calls_the_traced_names(tmp_path, monkeypatch):
     assert sorted(set(boundaries) - called) == []
 
 
+def _tree(path: Path):
+    """Each file under path with its size and mtime; None when path is absent."""
+    if not path.exists():
+        return None
+    return sorted(
+        (str(p.relative_to(path)), p.stat().st_size, p.stat().st_mtime_ns)
+        for p in path.rglob("*")
+    )
+
+
 @pytest.mark.parametrize(
     "workload",
     [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]],
 )
-def test_benchmark_workload_runs(workload):
+def test_benchmark_workload_runs(workload, tmp_path):
+    # run.py writes its artifacts under the checkout it runs from, after
+    # removing any earlier ones there, so it runs from a copy.
+    skip = shutil.ignore_patterns("__pycache__", ".qcsbench_out")
+    shutil.copytree(ROOT / "qcsbench", tmp_path / "qcsbench", ignore=skip)
+    shutil.copytree(ROOT / "src" / "qcslab", tmp_path / "src" / "qcslab", ignore=skip)
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    before = _tree(ROOT / ".qcsbench_out")
     proc = subprocess.run(
         [sys.executable, "qcsbench/run.py", "--workload", workload, "--seed", "7",
          "--seconds", "1", "--trace", "0", "--tiny"],
-        cwd=ROOT, capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["correct"] is True
     assert report["failed"] == 0
+    assert (tmp_path / ".qcsbench_out" / f"{workload}-seed7-trace0" / "result.json").is_file()
+    assert _tree(ROOT / ".qcsbench_out") == before

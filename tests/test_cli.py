@@ -76,10 +76,20 @@ class TestBoundCurveCmd:
                 float(ri["bound_value"]) * scale, rel=1e-12
             )
 
+    def test_huge_isnr_names_files_by_repr(self, tmp_path):
+        # 1e308 is integral, but its 309 digits make no file name.
+        assert main(["bound-curve", "--isnr", "1e308", "--bits", "2..4",
+                     "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bound_curve_isnr1e+308.csv", "bound_curve_isnr1e+308.svg"
+        ]
+
     def test_bad_flags_exit_1(self):
         assert main(["bound-curve", "--bits", "five"]) == 1
         assert main(["bound-curve", "--isnr", "abc"]) == 1
         assert main(["no-such-command"]) == 1
+        # sweep writes the regime maps; the command that once did is gone.
+        assert main(["regime-map", "--preset", "ci"]) == 1
 
     @pytest.mark.parametrize("flags", [["--preset", "fig1"], ["--seed", "5"]])
     def test_sweep_only_flags_rejected(self, flags, tmp_path, capsys):
@@ -168,24 +178,35 @@ class TestSweepCmd:
         out.mkdir()
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
         assert out.is_dir() and not any(out.iterdir())
+        assert capsys.readouterr().err == captured.err
 
     def test_unallocatable_matrix_buffer_exits_2(self, tmp_path, capsys):
-        # At n = 10^7, budget 7N and B = 1 the matrix buffer is 5 PiB, past
-        # the 128 TiB a process can address: the allocation fails whatever
-        # the overcommit setting, and no memory is touched.
-        cfg = write_tiny_config(
-            tmp_path / "cfg.json", n=10**7, k=10, budgets=["7N"], bit_grid=[1], trials=1
-        )
-        out = tmp_path / "o"
-        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "(70000000, 10000000)" in err
-        assert not out.exists()
-        # A directory that was there before the run stays.
-        out.mkdir()
-        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
-        assert out.is_dir()
+        cases = [
+            # At n = 10^7, budget 7N and B = 1 the matrix buffer is 5 PiB,
+            # past the 128 TiB a process can address: the allocation fails
+            # whatever the overcommit setting, and no memory is touched.
+            (dict(n=10**7, k=10, budgets=["7N"], bit_grid=[1]), [],
+             "(70000000, 10000000)"),
+            # Buffers whose byte count (6.4e18 x 64 x 8) or row count
+            # (6.4e31, rounded as a float) numpy cannot represent at all.
+            ({}, ["--budget", "1e17N"], "(6400000000000000000, 64)"),
+            ({}, ["--budget", "1e30N"], "(64000000000000001272615989673984, 64)"),
+        ]
+        for i, (overrides, flags, shape) in enumerate(cases):
+            cfg = write_tiny_config(tmp_path / f"cfg{i}.json", trials=1, **overrides)
+            out = tmp_path / f"o{i}"
+            argv = ["sweep", "--config", str(cfg), *flags, "--out", str(out)]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("qcslab: out of memory")
+            assert err.count("\n") == 1
+            assert shape in err
+            assert not out.exists()
+            # A directory that was there before the run stays.
+            out.mkdir()
+            assert main(argv) == 2
+            assert out.is_dir()
+            assert capsys.readouterr().err == err
 
     def test_out_of_memory_in_a_trial_exits_2(self, tmp_path, capsys, monkeypatch):
         # A MemoryError raised inside a trial ends the sweep like one from
@@ -231,6 +252,7 @@ class TestSweepCmd:
             (["--budget", "1N,256"], "budgets"),
             (["--isnr", "nan"], "isnr_list"),
             (["--isnr=-inf"], "isnr_list"),
+            (["--budget", "soupN"], "budgets"),
         ],
     )
     def test_bad_grid_exits_1_naming_field(self, flags, field, tmp_path, capsys):
@@ -261,10 +283,12 @@ class TestSweepCmd:
 
 
 class TestRegimeMapCmd:
+    """The regime maps that sweep writes, one per budget."""
+
     def test_single_isnr_single_row(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")
         out = tmp_path / "out"
-        assert main(["regime-map", "--config", str(cfg), "--budget", "2N",
+        assert main(["sweep", "--config", str(cfg), "--budget", "2N",
                      "--out", str(out)]) == 0
         rows = read_csv(out / "regime_map_budget128.csv")
         assert len(rows) == 1
@@ -275,20 +299,10 @@ class TestRegimeMapCmd:
         assert len(read_csv(out / "results.csv")) == 2 * 2 * 3
         assert len(read_csv(out / "aggregates.csv")) == 6
 
-    def test_writes_the_sweep_at_its_budget(self, tmp_path):
-        cfg = write_tiny_config(tmp_path / "cfg.json", budgets=["1N", "2N"])
-        swept, mapped = tmp_path / "sweep", tmp_path / "map"
-        assert main(["sweep", "--config", str(cfg), "--budget", "2N",
-                     "--out", str(swept)]) == 0
-        assert main(["regime-map", "--config", str(cfg), "--budget", "2N",
-                     "--out", str(mapped)]) == 0
-        for path in swept.iterdir():
-            assert (mapped / path.name).read_bytes() == path.read_bytes()
-
     def test_csv_rows_are_regime_points(self, tmp_path):
         cfg_path = write_tiny_config(tmp_path / "cfg.json", isnr_list=[5.0, 20.0])
         out = tmp_path / "out"
-        assert main(["regime-map", "--config", str(cfg_path), "--budget", "2N",
+        assert main(["sweep", "--config", str(cfg_path), "--budget", "2N",
                      "--out", str(out)]) == 0
         cfg = read_config(cfg_path)
         points = regime_map(cfg, "2N", run_sweep(cfg))
@@ -304,29 +318,21 @@ class TestRegimeMapCmd:
     def test_no_budget_maps_every_config_budget(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json", budgets=["1N", "2N"])
         out = tmp_path / "out"
-        assert main(["regime-map", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         for budget in (64, 128):
             assert len(read_csv(out / f"regime_map_budget{budget}.csv")) == 1
             assert (out / f"regime_map_budget{budget}.svg").exists()
-
-    def test_bad_budget_exits_1_leaving_no_out_dir(self, tmp_path, capsys):
-        cfg = write_tiny_config(tmp_path / "cfg.json")
-        out = tmp_path / "out"
-        assert main(["regime-map", "--config", str(cfg), "--budget", "soupN",
-                     "--out", str(out)]) == 1
-        assert "config error: budgets:" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_budget_list_maps_each_budget(self, tmp_path):
         # One sweep over the list; each budget's map is the one a run at
         # that budget alone writes.
         cfg = write_tiny_config(tmp_path / "cfg.json", isnr_list=[5.0, 20.0])
         both = tmp_path / "both"
-        assert main(["regime-map", "--config", str(cfg), "--budget", "1N,2N",
+        assert main(["sweep", "--config", str(cfg), "--budget", "1N,2N",
                      "--out", str(both)]) == 0
         for flag, budget in (("1N", 64), ("2N", 128)):
             alone = tmp_path / flag
-            assert main(["regime-map", "--config", str(cfg), "--budget", flag,
+            assert main(["sweep", "--config", str(cfg), "--budget", flag,
                          "--out", str(alone)]) == 0
             for suffix in ("csv", "svg"):
                 name = f"regime_map_budget{budget}.{suffix}"
@@ -339,26 +345,28 @@ class TestRegimeMapCmd:
             tmp_path / "cfg.json", algorithms=["oracle_ls", "biht_l1"], bit_grid=[2, 4]
         )
         out = tmp_path / "out"
-        assert main(["regime-map", "--config", str(cfg), "--budget", "2N",
+        assert main(["sweep", "--config", str(cfg), "--budget", "2N",
                      "--out", str(out)]) == 3
         printed = capsys.readouterr().out.splitlines()
         assert printed[-1] == "budget 128: no regime map: none of the decoders it ranks ran"
         assert not list(out.glob("regime_map_*"))
         assert (out / "results.csv").exists()
 
+
     def test_no_tuple_exits_2_writing_nothing(self, tmp_path, capsys):
-        # At 7 bits, m = 7, 3 and 1 < k = 8.
+        # At a --budget of 7 bits, m = 7, 3 and 1 < k = 8: no map, no file.
         cfg = write_tiny_config(tmp_path / "cfg.json", k=8)
         out = tmp_path / "out"
-        assert main(["regime-map", "--config", str(cfg), "--budget", "7",
-                     "--out", str(out)]) == 2
-        assert "m = 7 < k = 8" in capsys.readouterr().out
+        argv = ["sweep", "--config", str(cfg), "--budget", "7", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "m = 7 < k = 8" in captured.out
+        assert captured.err == "qcslab: no tuples executed\n"
         assert not out.exists()
         out.mkdir()
-        assert main(["regime-map", "--config", str(cfg), "--budget", "7",
-                     "--out", str(out)]) == 2
+        assert main(argv) == 2
         assert out.is_dir() and not any(out.iterdir())
-
+        assert capsys.readouterr().err == captured.err
 
 class TestPresetsCmd:
     def test_list(self, capsys):
