@@ -276,6 +276,20 @@ def _applicable_algorithms(algorithms, bit_depth: int) -> List[str]:
     return [a for a in algorithms if a in family]
 
 
+def _draws_full_matrix(cfg: ExperimentConfig, bit_depth: int) -> bool:
+    """Whether a trial at bit_depth draws the whole m x n sensing matrix.
+
+    Only a trial where every applicable decoder is an oracle, on an
+    i.i.d. Gaussian matrix, draws less: the k columns of its support.
+    A tight frame is a function of the whole matrix, so it always draws
+    all of it.
+    """
+    if cfg.matrix_kind != "iid_gaussian":
+        return True
+    applicable = _applicable_algorithms(cfg.algorithms, bit_depth)
+    return any(a not in ORACLE_ALGORITHMS for a in applicable)
+
+
 def _skip_reason(cfg: ExperimentConfig, m: int, bit_depth: int) -> Optional[str]:
     """Why tuples with m measurements of bit_depth bits cannot run, or None."""
     if m < 1:
@@ -300,12 +314,24 @@ def run_trial(
 ) -> List[TrialResult]:
     """Execute one trial of one tuple and score every applicable algorithm.
 
-    Pipeline: draw Phi and x, measure Phi x, add Phi n for signal noise n
+    Pipeline: draw x and Phi, measure Phi x, add Phi n for signal noise n
     at the requested ISNR, set the quantizer range from the noiseless
     measurements, quantize (signs when B = 1), reconstruct.
     1-bit estimates are rescaled to the true norm before scoring.
     Phi is drawn into matrix_buffer when one is given (see
     gen_gaussian_matrix's out); the rows are the same either way.
+
+    A trial whose only applicable decoders are oracles, on an i.i.d.
+    Gaussian matrix, draws only the m x k columns Phi_S of the support S
+    (see _draws_full_matrix), then n and one standard-normal m-vector g,
+    and sets y_clean = Phi_S x_S and
+    y = y_clean + Phi_S n_S + sqrt(|n_{S^c}|^2 / m) g; the oracle solves
+    on Phi_S and its estimate is placed back on S. The other columns
+    reach y only through Phi_{S^c} n_{S^c}, which for N(0, 1/m) entries
+    is N(0, |n_{S^c}|^2 / m I) and independent of Phi_S, x and n_S, so
+    the rows have the law of a full draw but not its values: the oracle
+    rows of a config that also runs bpdn at the tuple differ, while the
+    seed column is derive_seed of the tuple either way.
     """
     m = _measurements(budget, bit_depth)
     seed = derive_seed(
@@ -321,13 +347,24 @@ def run_trial(
     rng = np.random.default_rng(seed)
     x = gen_sparse_signal(cfg.n, cfg.k, cfg.sigma_x2, rng)
     sigma_n2 = sigma_n_for_isnr(cfg.k, cfg.sigma_x2, cfg.n, isnr)
-    phi = gen_gaussian_matrix(m, cfg.n, rng, out=matrix_buffer)
-    if cfg.matrix_kind == "tight_frame":
-        phi = make_tight_frame(phi)
-    y_clean = measure(phi, x.values)
+    full = _draws_full_matrix(cfg, bit_depth)
+    if full:
+        phi = gen_gaussian_matrix(m, cfg.n, rng, out=matrix_buffer)
+        if cfg.matrix_kind == "tight_frame":
+            phi = make_tight_frame(phi)
+        y_clean = measure(phi, x.values)
+    else:
+        phi = gen_gaussian_matrix(m, cfg.k, rng)  # Phi_S, column j for x.support[j]
+        y_clean = measure(phi, x.values[x.support])
     y = y_clean
     if sigma_n2 > 0:
-        y = y_clean + measure(phi, math.sqrt(sigma_n2) * rng.standard_normal(cfg.n))
+        noise = math.sqrt(sigma_n2) * rng.standard_normal(cfg.n)
+        if full:
+            y = y_clean + measure(phi, noise)
+        else:
+            rest = np.delete(noise, x.support)
+            folded = math.sqrt(rest @ rest / m) * rng.standard_normal(m)
+            y = y_clean + measure(phi, noise[x.support]) + folded
 
     one_bit = bit_depth == 1
     if one_bit:
@@ -335,8 +372,15 @@ def run_trial(
     else:
         y_q = uniform_quantize(y, dynamic_range(y_clean), bit_depth)
 
+    def _oracle():
+        if full:
+            return oracle_ls(phi, y_q, x.support)
+        x_hat = np.zeros(cfg.n)
+        x_hat[x.support] = oracle_ls(phi, y_q, np.arange(cfg.k))
+        return x_hat
+
     solvers = {
-        "oracle_ls": lambda: oracle_ls(phi, y_q, x.support),
+        "oracle_ls": _oracle,
         "bpdn": lambda: bpdn(phi, y_q, float(np.linalg.norm(y - y_q))),
         "biht_l1": lambda: biht(phi, y_q, cfg.k, BihtVariant.ONE_SIDED_L1),
         "biht_l2": lambda: biht(phi, y_q, cfg.k, BihtVariant.ONE_SIDED_L2),
@@ -392,18 +436,17 @@ def aggregate(rows: List[TrialResult]) -> List[AggregateRow]:
 
 
 # Largest n at which run_sweep runs every trial in the calling thread;
-# above it the trials go to a thread pool. A trial is mostly short numpy
-# calls with Python between them, so a second thread mostly waits for the
-# GIL; it overlaps only the calls that release it (the matrix draw, BLAS
-# and LAPACK), which weigh enough for the pool to pay at larger n.
+# above it the trials go to a thread pool, if any trial draws the full
+# matrix. A trial is mostly short numpy calls with Python between them,
+# so a second thread mostly waits for the GIL; it overlaps only the calls
+# that release it (the matrix draw, BLAS and LAPACK), which weigh enough
+# for the pool to pay at larger n.
 # Measured with BLAS on one thread, 2 vCPUs, trials per second of one
 # worker against two, medians of 6 interleaved pairs (BENCH_14.json):
 # - n=256: the ci grid 95 against 62, BPDN-only 106 against 87, 1-bit
-#   only 32 against 22; oracle-only ties (725 against 738, 3 of 6 pairs
-#   each way);
-# - n=320: oracle-only favours the pool, 500 against 638 (6 of 6 pairs),
-#   while the ci grid still gives 67 against 51;
-# - n=512: oracle-only 233 against 325, 1-bit only 13.6 against 14.3.
+#   only 32 against 22;
+# - n=320: the ci grid 67 against 51;
+# - n=512: 1-bit only 13.6 against 14.3.
 # At n=128 and 192 one worker won every pair of every grid.
 _SERIAL_MAX_N = 256
 
@@ -438,15 +481,20 @@ def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable
     Tuples that cannot be executed (m < 1, m < k, m > n for a tight
     frame, or no applicable algorithm) are skipped with a recorded
     reason; a failing trial is recorded and does not abort the sweep.
-    Up to n = _SERIAL_MAX_N every trial runs in the calling thread;
-    above it the trials run on a thread pool of min(QCSLAB_THREADS, trial
+    A trial whose only applicable decoders are oracles, on an i.i.d.
+    Gaussian matrix, draws only its support's m x k columns (see
+    run_trial); every other trial, and every tight-frame trial, draws
+    the full m x n matrix. A sweep with no full draw, or with
+    n <= _SERIAL_MAX_N, runs every trial in the calling thread; any
+    other runs its trials on a thread pool of min(QCSLAB_THREADS, trial
     count) workers, where QCSLAB_THREADS defaults to the CPU count and is
     validated at every n. Trials start in order of m, largest first, so
     that no worker is left alone with a large trial at the end.
-    Each worker draws its matrices into one buffer sized for the largest,
-    so peak memory is about the workers used x the largest matrix; a
-    MemoryError, from that buffer or from within a trial, ends the sweep
-    (a buffer too large for numpy to represent raises one too).
+    Each worker draws its full matrices into one buffer sized for the
+    largest of them (no buffer when there is none), so peak memory is
+    about the workers used x the largest full matrix; a MemoryError,
+    from that buffer or from within a trial, ends the sweep (a buffer
+    too large for numpy to represent raises one too).
     Output ordering is tuple-major then trial-major and independent of
     the worker count. Wall times are recorded only with record_timing,
     keeping default output bytes reproducible run to run.
@@ -466,12 +514,15 @@ def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable
 
     # A matrix drawn fresh per trial and then freed can stay resident in
     # the allocator's per-thread arenas, so each worker reuses one buffer.
-    largest = max((m for m, _, _ in tasks), default=0)
+    largest = max(
+        (m for m, (_, bit_depth, _), _ in tasks if _draws_full_matrix(cfg, bit_depth)),
+        default=0,
+    )
     worker = threading.local()
 
     def _attempt(task):
         _, (budget, bit_depth, isnr), trial = task
-        if not hasattr(worker, "matrix"):
+        if largest and not hasattr(worker, "matrix"):
             try:
                 worker.matrix = np.empty((largest, cfg.n))
             except ValueError as exc:  # a size numpy cannot even represent
@@ -479,13 +530,14 @@ def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable
         try:
             return run_trial(
                 cfg, budget, bit_depth, isnr, trial, record_timing,
-                matrix_buffer=worker.matrix,
+                matrix_buffer=getattr(worker, "matrix", None),
             )
         except (QcsLabError, np.linalg.LinAlgError) as exc:
             return f"trial {trial} failed: {exc}"
 
     cap = _worker_count()  # validated whether or not a pool runs
-    workers = 1 if cfg.n <= _SERIAL_MAX_N else max(1, min(cap, len(tasks)))
+    serial = cfg.n <= _SERIAL_MAX_N or not largest
+    workers = 1 if serial else max(1, min(cap, len(tasks)))
     # Largest m first (a stable sort); the outcomes go back in task order.
     order = sorted(range(len(tasks)), key=lambda i: -tasks[i][0])
     outcomes = [None] * len(tasks)

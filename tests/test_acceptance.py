@@ -304,7 +304,9 @@ def test_criterion_09_quantizer_properties():
 
 def test_criterion_10_determinism(tmp_path, child_env):
     # n=64 runs every trial in the calling thread at any QCSLAB_THREADS;
-    # the second config is just large enough for the thread pool.
+    # the second config is just large enough for the thread pool; the
+    # third is as large, but oracle-only, so it draws only the support's
+    # columns and runs in the calling thread.
     configs = [
         q.ExperimentConfig(
             n=64,
@@ -323,6 +325,16 @@ def test_criterion_10_determinism(tmp_path, child_env):
             isnr_list=[10.0],
             trials=2,
             master_seed=99,
+        ),
+        q.ExperimentConfig(
+            n=harness._SERIAL_MAX_N + 1,
+            k=2,
+            budgets=["1N"],
+            bit_grid=[2, 4],
+            isnr_list=[10.0],
+            trials=2,
+            master_seed=99,
+            algorithms=["oracle_ls"],
         ),
     ]
     runs = []

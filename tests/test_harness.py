@@ -14,6 +14,7 @@ from qcslab import harness
 from qcslab.cli import main
 from qcslab.harness import AGGREGATE_COLUMNS, RESULT_COLUMNS, AggregateRow, TrialResult
 from qcslab.quantize import MAX_BITS
+from qcslab.reconstruct import ReconResult
 
 
 def tiny_config(**overrides):
@@ -134,6 +135,61 @@ class TestRunTrial:
         for r in rows:
             assert r.m == 128
             assert 0.0 <= r.hamming <= 1.0
+
+    @pytest.mark.parametrize(
+        "algorithms, matrix_kind, shape",
+        [
+            (["oracle_ls"], "iid_gaussian", (32, 2)),  # (m, k)
+            (["oracle_ls", "bpdn"], "iid_gaussian", (32, 64)),  # (m, n)
+            # A tight frame is a function of the whole matrix.
+            (["oracle_ls"], "tight_frame", (32, 64)),
+        ],
+    )
+    def test_matrix_draw_shape(self, monkeypatch, algorithms, matrix_kind, shape):
+        shapes = []
+        draw = harness.gen_gaussian_matrix
+
+        def recorded(m, n, *args, **kwargs):
+            shapes.append((m, n))
+            return draw(m, n, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "gen_gaussian_matrix", recorded)
+        cfg = tiny_config(algorithms=algorithms, matrix_kind=matrix_kind)
+        rows = q.run_trial(cfg, budget=128, bit_depth=4, isnr=10.0, trial_index=0)
+        assert shapes == [shape]
+        assert [r.algorithm for r in rows] == algorithms
+        assert all(np.isfinite(r.rsnr_db) for r in rows)
+
+    def test_oracle_only_draw_has_the_full_draws_law(self, monkeypatch):
+        # An oracle-only trial draws Phi_S and stands in one Gaussian
+        # m-vector for Phi_{S^c} n_{S^c}; adding bpdn makes the same tuple
+        # draw the whole matrix. The oracle's mean error must agree within
+        # 4 combined standard errors. bpdn draws nothing, so a stub for it
+        # leaves the oracle rows as they are and keeps the test fast.
+        monkeypatch.setattr(
+            harness, "bpdn", lambda phi, y, eps: ReconResult(np.zeros(phi.cols), 0, True)
+        )
+        base = dict(
+            n=256, k=4, budgets=["2N"], bit_grid=[4], isnr_list=[5.0, 20.0],
+            trials=400, master_seed=11,
+        )
+        cheap = q.run_sweep(q.ExperimentConfig(**base, algorithms=["oracle_ls"]))
+        full = q.run_sweep(q.ExperimentConfig(**base, algorithms=["oracle_ls", "bpdn"]))
+        assert {r.m for r in cheap.rows} == {128}
+        for isnr in base["isnr_list"]:
+            errs = [
+                np.array([r.recon_mse for r in table.rows
+                          if r.algorithm == "oracle_ls" and r.isnr_db == isnr])
+                for table in (cheap, full)
+            ]
+            assert [e.size for e in errs] == [400, 400]
+            se = math.sqrt(sum(e.var(ddof=1) / e.size for e in errs))
+            z = (errs[0].mean() - errs[1].mean()) / se
+            assert abs(z) < 4.0, (isnr, z)
+        # The seed column identifies the tuple's draws on either path.
+        assert [r.seed for r in cheap.rows] == [
+            r.seed for r in full.rows if r.algorithm == "oracle_ls"
+        ]
 
     def test_timing_opt_in(self):
         cfg = tiny_config(algorithms=["bpdn"])
@@ -267,6 +323,22 @@ class TestRunSweep:
         assert len(callers) == 9
         assert set(callers) == {threading.get_ident()}
 
+    def test_oracle_only_sweep_runs_every_trial_in_the_calling_thread(self, monkeypatch):
+        # No trial draws the full matrix, so there is no buffer and no pool
+        # at any n.
+        callers = []
+        run_trial = harness.run_trial
+
+        def recorded(*args, matrix_buffer=None, **kwargs):
+            callers.append((threading.get_ident(), matrix_buffer))
+            return run_trial(*args, matrix_buffer=matrix_buffer, **kwargs)
+
+        monkeypatch.setattr(harness, "run_trial", recorded)
+        monkeypatch.setenv("QCSLAB_THREADS", "2")
+        cfg = tiny_config(n=harness._SERIAL_MAX_N + 1, algorithms=["oracle_ls"])
+        assert len(q.run_sweep(cfg).rows) == 6
+        assert callers == [(threading.get_ident(), None)] * 6
+
     @pytest.mark.parametrize("threads, pools", [("1", []), ("2", [2]), ("8", [3])])
     def test_large_n_pool_is_capped_by_threads_and_trials(self, monkeypatch, threads, pools):
         made = []
@@ -278,10 +350,10 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
         monkeypatch.setenv("QCSLAB_THREADS", threads)
-        # One tuple of 3 trials.
+        # One tuple of 3 trials; bpdn draws the full matrix.
         cfg = tiny_config(
             n=harness._SERIAL_MAX_N + 1, budgets=["1N"], bit_grid=[4],
-            algorithms=["oracle_ls"],
+            algorithms=["bpdn"],
         )
         assert len(q.run_sweep(cfg).rows) == 3
         assert made == pools
