@@ -122,6 +122,10 @@ def check_signal(n: int, k: int, sigma_x2: float) -> None:
         raise ConfigError("sigma_x2", "must be positive and finite")
 
 
+# A sweep draws n-vectors of float64, so n is capped by numpy's largest array.
+_MAX_N = np.iinfo(np.intp).max // 8
+
+
 def _distinct(name, values):
     """Reject a repeated entry, which would run and count its tuples twice."""
     if len(set(values)) != len(values):
@@ -146,6 +150,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_signal(self.n, self.k, self.sigma_x2)
+        if self.n > _MAX_N:
+            raise ConfigError(
+                "n", f"must be at most {_MAX_N}, numpy's longest float64 array"
+            )
         if self.trials < 1:
             raise ConfigError("trials", "must be >= 1")
         if not self.budgets:
@@ -201,7 +209,7 @@ def read_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON is UTF-8
         raise ConfigError("<root>", f"invalid JSON: {exc}") from exc
     return ExperimentConfig.from_dict(data)
 

@@ -69,8 +69,6 @@ def _hard_threshold(v: np.ndarray, k: int):
     """hard_threshold's output and the k indices it kept."""
     if k < 1 or k > v.size:
         raise InvalidParameterError("k must satisfy 1 <= k <= len(v)")
-    if k == v.size:
-        return v.copy(), np.arange(k)
     keep = np.argsort(-np.abs(v), kind="stable")[:k]
     out = np.zeros_like(v)
     out[keep] = v[keep]
@@ -301,12 +299,10 @@ def bpdn(
 
     iterations counts path steps, and max_iter caps them. converged is a
     KKT certificate on the returned x (_kkt_certified): feasible, and
-    optimal for the path's final lam. Its tolerances are relative to lam.
-    When lam falls below about 1e-9 ||Phi^T y||_inf (a y that a sparse x
-    fits almost exactly, with a tiny eps) and the path's x_S misses the
-    check, x_S is refined once at that lam and kept if it certifies; below
-    about 5e-10 rounding in Phi^T r can still fail it on an x that is
-    optimal to working precision.
+    optimal for the path's final lam. Its tolerances are relative to lam,
+    so a y that a sparse x fits almost exactly, with a tiny eps, can end
+    at a lam so small that rounding fails the check on an x that is
+    optimal to working precision; converged is then False.
     """
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
@@ -421,49 +417,12 @@ def bpdn(
 
     x = act.estimate()
     converged = _kkt_certified(a, y, x, eps, lam)
-    if not converged:
-        # One Newton step on Phi_S^T (y - Phi_S x_S) = lam s at the final
-        # lam, from a fresh residual: at a near-exact fit lam is so small
-        # that the path's own x_S can miss it by more than the tolerance.
-        k = act.k
-        idx = act.idx[:k]
-        cols = a[:, idx]
-        refined = x.copy()
-        refined[idx] += act.solve(cols.T @ (y - cols @ x[idx]) - lam * act.sign[:k],
-                                  act.rows[:k, idx])
-        if _kkt_certified(a, y, refined, eps, lam):
-            x, converged = refined, True
     return ReconResult(estimate=x, iterations=it, converged=converged)
 
 
 def _sign_mismatch(ax: np.ndarray, y_sign: np.ndarray) -> np.ndarray:
     """Rows where sign(Phi x), with sign(0) = +1, disagrees with y_sign."""
     return sign_quantize(ax) != y_sign
-
-
-def _gather_rows_share(n: int) -> float:
-    """Largest share of Phi's rows up to which biht gathers the
-    sign-disagreeing ones for the gradient; above it the gradient runs on
-    the full Phi.
-
-    The rows are gathered _GATHER_BLOCK at a time, so each copy is at
-    most 64 rows (512 KB at n=1000) whatever the share. A gathered row
-    then costs about twice what a row costs in the full product, plus a
-    per-block overhead that weighs more on short rows, so the bound rises
-    with the row length n toward 1/2: 1/4 at n=256, 0.375 at n=512 and
-    0.436 at n=1000. Below n=128 the gradient always runs on the full Phi.
-    Measured on one BLAS thread, blocked gather against Phi^T u (medians
-    of 61 runs):
-    - n=256, m=512: they tie at 25% (0.030 against 0.028 ms); the gather
-      loses at 30% (0.037 against 0.028 ms);
-    - n=512: at 35% the gather wins (0.176 against 0.188 ms at m=1024),
-      at 40% it loses (0.213 against 0.194 ms; 0.412 against 0.400 ms at
-      m=2048);
-    - n=1000: at m=1000 and 3000 they tie at 40-45% (1.15 against 1.18 ms
-      at 45%, m=3000) and the gather loses at 50%; at m=7000 it still
-      wins at 50% (2.19 against 2.76 ms).
-    """
-    return 0.5 - 64 / n
 
 
 _GATHER_BLOCK = 64
@@ -500,8 +459,8 @@ def biht(
     lasts the whole call, and a step that changes the kept columns copies
     in only those that entered, over the rows of those that left (k*m*8
     bytes, 560 KB at k=10, m=7000). The gradient Phi^T u, which vanishes
-    off the sign-disagreeing rows, reads only those rows, in blocks,
-    while they are at most _gather_rows_share(n) of them.
+    off the sign-disagreeing rows, reads only those rows, _GATHER_BLOCK
+    at a time.
     """
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
@@ -511,7 +470,7 @@ def biht(
     if not np.all(np.abs(y_sign) == 1.0):
         raise InvalidParameterError("y_sign entries must be +-1")
     a = phi.entries
-    m, n = a.shape
+    n = a.shape[1]
 
     x, cols = _hard_threshold(a.T @ y_sign, k)
     nx = np.linalg.norm(x)
@@ -527,7 +486,6 @@ def biht(
     block = a.T[cols]
     held = np.zeros(n, dtype=bool)
     held[cols] = True
-    gather_rows = _gather_rows_share(n) * m
 
     best_x = x.copy()
     best_ham = math.inf
@@ -547,12 +505,7 @@ def biht(
         y_bad = y_sign[rows]
         r = y_bad * ax[rows]
         u = y_bad * (np.sign(r) if variant is BihtVariant.ONE_SIDED_L1 else r)
-        if rows.size <= gather_rows:
-            g = _gather_gradient(a, rows, u)
-        else:
-            u_full = np.zeros(m)
-            u_full[rows] = u
-            g = a.T @ u_full
+        g = _gather_gradient(a, rows, u)
         x_next, keep = _hard_threshold(x - g, k)
         if not np.any(x_next):
             if not np.any(g):

@@ -128,12 +128,16 @@ def gen_gaussian_matrix(
     With out, a C-contiguous float64 array of at least m rows and n
     columns, the entries are drawn into out[:m]: the result aliases out,
     so it is valid only until out is written again. The draws are the
-    same as without out.
+    same as without out. A matrix too large for numpy to represent raises
+    MemoryError, as one too large to allocate does.
     """
     if m < 1 or n < 1:
         raise InvalidParameterError("matrix dimensions must be >= 1")
     if out is None:
-        entries = rng.standard_normal((m, n))
+        try:
+            entries = rng.standard_normal((m, n))
+        except ValueError as exc:
+            raise MemoryError(f"matrix ({m}, {n}): {exc}") from None
     elif out.ndim != 2 or out.shape[0] < m or out.shape[1] != n:
         raise InvalidParameterError(
             f"out must have at least {m} rows and {n} columns, not shape {out.shape}"

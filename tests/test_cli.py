@@ -191,6 +191,12 @@ class TestSweepCmd:
             # (6.4e31, rounded as a float) numpy cannot represent at all.
             ({}, ["--budget", "1e17N"], "(6400000000000000000, 64)"),
             ({}, ["--budget", "1e30N"], "(64000000000000001272615989673984, 64)"),
+            # The same budgets with oracle-only trials, which draw only the
+            # m x k support columns: at B = 2 they are still unrepresentable.
+            (dict(algorithms=["oracle_ls"]), ["--budget", "1e17N"],
+             "(3200000000000000000, 2)"),
+            (dict(algorithms=["oracle_ls"]), ["--budget", "1e30N"],
+             "(32000000000000000636307994836992, 2)"),
         ]
         for i, (overrides, flags, shape) in enumerate(cases):
             cfg = write_tiny_config(tmp_path / f"cfg{i}.json", trials=1, **overrides)
@@ -232,6 +238,28 @@ class TestSweepCmd:
         cfg.write_text(json.dumps(data), encoding="utf-8")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "trials" in capsys.readouterr().err
+
+    def test_config_not_utf8_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"n": 64, "k": "\xff"}')
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qcslab: config error: <root>: invalid JSON: 'utf-8' codec")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_n_beyond_numpy_arrays_exits_1_naming_it(self, tmp_path, capsys):
+        # 2^70 overflows the int64 that numpy's sampler takes; 2^61 is an
+        # int64, but an n-vector of float64 would need 2^64 bytes.
+        for n in (2**70, 2**61):
+            cfg = write_tiny_config(tmp_path / "cfg.json", n=n, algorithms=["oracle_ls"])
+            out = tmp_path / "o"
+            assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("qcslab: config error: n: must be at most")
+            assert err.count("\n") == 1
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "overrides",
