@@ -43,14 +43,7 @@ from .harness import (
     write_config,
     write_results,
 )
-from .quantize import (
-    LloydMaxSpec,
-    apply_codebook,
-    dynamic_range,
-    lloyd_max,
-    sign_quantize,
-    uniform_quantize,
-)
+from .quantize import dynamic_range, sign_quantize, uniform_quantize
 from .reconstruct import (
     BihtVariant,
     ReconResult,

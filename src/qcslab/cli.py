@@ -32,6 +32,7 @@ from .harness import (
     run_sweep,
     to_csv,
     write_aggregates,
+    write_config,
     write_results,
 )
 from .svgplot import PlotSpec, Series, render_svg
@@ -302,9 +303,10 @@ def _sweep_svgs(cfg: ExperimentConfig, table: ResultTable, out: Path) -> None:
 
 
 def _sweep_into(cfg: ExperimentConfig, out: Path, record_timing: bool = False) -> int:
-    """Run cfg's sweep, print its skip reasons, write results.csv,
-    aggregates.csv, the RSNR charts and one regime map (best B per ISNR)
-    per budget to out, and return the exit code.
+    """Run cfg's sweep, print its skip reasons, write config.json (cfg,
+    which `sweep --config` re-runs), results.csv, aggregates.csv, the RSNR
+    charts and one regime map (best B per ISNR) per budget to out, and
+    return the exit code.
 
     A sweep that executes no tuple writes nothing and raises QcsLabError.
     A budget whose map has no point is named and gets no file; it, like a
@@ -314,6 +316,7 @@ def _sweep_into(cfg: ExperimentConfig, out: Path, record_timing: bool = False) -
     _print_skips(table)
     if not table.rows:
         raise QcsLabError("no tuples executed")
+    write_config(cfg, out / "config.json")
     write_results(table, out / "results.csv")
     write_aggregates(table, out / "aggregates.csv")
     _sweep_svgs(cfg, table, out)

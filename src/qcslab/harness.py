@@ -36,6 +36,7 @@ from .reconstruct import (
 )
 from .seeding import derive_seed
 from .signal_model import (
+    empty_matrix,
     gen_gaussian_matrix,
     gen_sparse_signal,
     make_tight_frame,
@@ -215,6 +216,7 @@ def read_config(path) -> ExperimentConfig:
 
 
 def write_config(cfg: ExperimentConfig, path) -> None:
+    """Write cfg as the JSON that read_config loads back to an equal config."""
     Path(path).write_text(
         json.dumps(cfg.to_dict(), indent=2) + "\n", encoding="utf-8"
     )
@@ -501,8 +503,8 @@ def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable
     Each worker draws its full matrices into one buffer sized for the
     largest of them (no buffer when there is none), so peak memory is
     about the workers used x the largest full matrix; a MemoryError,
-    from that buffer or from within a trial, ends the sweep (a buffer
-    too large for numpy to represent raises one too).
+    from that buffer (see empty_matrix) or from within a trial, ends the
+    sweep.
     Output ordering is tuple-major then trial-major and independent of
     the worker count. Wall times are recorded only with record_timing,
     keeping default output bytes reproducible run to run.
@@ -531,10 +533,7 @@ def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable
     def _attempt(task):
         _, (budget, bit_depth, isnr), trial = task
         if largest and not hasattr(worker, "matrix"):
-            try:
-                worker.matrix = np.empty((largest, cfg.n))
-            except ValueError as exc:  # a size numpy cannot even represent
-                raise MemoryError(f"matrix buffer ({largest}, {cfg.n}): {exc}") from None
+            worker.matrix = empty_matrix(largest, cfg.n)
         try:
             return run_trial(
                 cfg, budget, bit_depth, isnr, trial, record_timing,

@@ -117,6 +117,18 @@ def sigma_n_for_isnr(k: int, sigma_x2: float, n: int, isnr_db: float) -> float:
     return sigma_n2
 
 
+def empty_matrix(m: int, n: int) -> np.ndarray:
+    """An uninitialized m x n float64 array.
+
+    A shape too large for numpy to represent raises MemoryError naming
+    it, as one too large to allocate does.
+    """
+    try:
+        return np.empty((m, n))
+    except ValueError as exc:
+        raise MemoryError(f"matrix ({m}, {n}): {exc}") from None
+
+
 def gen_gaussian_matrix(
     m: int,
     n: int,
@@ -127,23 +139,18 @@ def gen_gaussian_matrix(
 
     With out, a C-contiguous float64 array of at least m rows and n
     columns, the entries are drawn into out[:m]: the result aliases out,
-    so it is valid only until out is written again. The draws are the
-    same as without out. A matrix too large for numpy to represent raises
-    MemoryError, as one too large to allocate does.
+    so it is valid only until out is written again. Without out they go
+    into a fresh empty_matrix(m, n); the draws are the same either way.
     """
     if m < 1 or n < 1:
         raise InvalidParameterError("matrix dimensions must be >= 1")
     if out is None:
-        try:
-            entries = rng.standard_normal((m, n))
-        except ValueError as exc:
-            raise MemoryError(f"matrix ({m}, {n}): {exc}") from None
+        out = empty_matrix(m, n)
     elif out.ndim != 2 or out.shape[0] < m or out.shape[1] != n:
         raise InvalidParameterError(
             f"out must have at least {m} rows and {n} columns, not shape {out.shape}"
         )
-    else:
-        entries = rng.standard_normal(out=out[:m])
+    entries = rng.standard_normal(out=out[:m])
     entries /= math.sqrt(m)
     return SensingMatrix(entries)
 

@@ -161,6 +161,8 @@ class TestSweepCmd:
         out = tmp_path / "out"
         code = main(["sweep", "--config", str(cfg), "--out", str(out)])
         assert code == 3
+        # A partial sweep leaves its config too.
+        assert read_config(out / "config.json") == read_config(cfg)
 
     def test_total_failure_exit_2(self, tmp_path, capsys):
         # m = 2 and 4 < k = 8: no tuple runs, the reasons are printed, and
@@ -308,6 +310,23 @@ class TestSweepCmd:
         rows = read_csv(out / "results.csv")
         assert {r["algorithm"] for r in rows} == {"oracle_ls", "bpdn"}
         assert all(r["n"] == "256" for r in rows)
+
+    def test_config_json_reruns_the_sweep(self, tmp_path):
+        # The sweep leaves its config with the preset's overrides applied;
+        # `sweep --config` on it writes every file again, byte for byte.
+        out, again = tmp_path / "out", tmp_path / "again"
+        assert main(["sweep", "--preset", "ci", "--trials", "1", "--budget", "2N",
+                     "--isnr", "35,5", "--seed", "5", "--out", str(out)]) == 0
+        assert read_config(out / "config.json") == replace(
+            sweep_preset("ci"), trials=1, budgets=["2N"], isnr_list=[35.0, 5.0],
+            master_seed=5,
+        )
+        assert main(["sweep", "--config", str(out / "config.json"),
+                     "--out", str(again)]) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == sorted(p.name for p in again.iterdir())
+        for name in names:
+            assert (out / name).read_bytes() == (again / name).read_bytes(), name
 
 
 class TestRegimeMapCmd:

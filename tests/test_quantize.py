@@ -1,4 +1,3 @@
-import math
 import subprocess
 import sys
 
@@ -8,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcslab as q
-
-SQRT_2_OVER_PI = 0.7978845608028654
 
 
 class TestDynamicRange:
@@ -81,75 +78,10 @@ class TestUniformQuantize:
         assert abs(out[0] - v[0]) <= t * 2.0 ** (1 - b) / 2 + 1e-9 * t
 
 
-class TestLloydMax:
-    def test_one_bit_levels(self):
-        spec = q.lloyd_max(1, 1.0)
-        assert spec.converged
-        assert spec.levels == pytest.approx([-SQRT_2_OVER_PI, SQRT_2_OVER_PI], abs=1e-9)
-        assert spec.thresholds == pytest.approx([0.0], abs=1e-12)
-        # 1 - 2/pi is the half-Gaussian conditional variance.
-        assert spec.mse == pytest.approx(1.0 - 2.0 / math.pi, rel=1e-9)
-
-    def test_scale_equivariance(self):
-        unit = q.lloyd_max(1, 1.0)
-        scaled = q.lloyd_max(1, 4.0)
-        assert scaled.levels == pytest.approx(2.0 * unit.levels, rel=1e-9)
-
-    def test_two_bit_fixed_point(self):
-        spec = q.lloyd_max(2, 1.0)
-        # Frozen from an independent dense-grid fixed-point oracle.
-        assert spec.levels == pytest.approx(
-            [-1.510420, -0.452780, 0.452780, 1.510420], abs=2e-5
-        )
-        assert spec.mse == pytest.approx(0.1174818478, abs=1e-6)
-
-    def test_nearest_neighbor_condition(self):
-        spec = q.lloyd_max(3, 2.0)
-        mids = 0.5 * (spec.levels[:-1] + spec.levels[1:])
-        assert np.allclose(spec.thresholds, mids, atol=1e-12)
-
-    def test_distortion_decreases_with_bits(self):
-        mses = [q.lloyd_max(b, 1.0).mse for b in range(1, 6)]
-        assert all(a > b for a, b in zip(mses, mses[1:]))
-
-    def test_beats_wide_uniform_quantizer(self):
-        rng = np.random.default_rng(31)
-        samples = rng.standard_normal(400_000)
-        for b in range(1, 7):
-            spec = q.lloyd_max(b, 1.0)
-            lm = np.mean((samples - q.apply_codebook(samples, spec)) ** 2)
-            uni = np.mean((samples - q.uniform_quantize(samples, 4.0, b)) ** 2)
-            assert lm <= uni
-
-    def test_converges_to_fixed_point(self):
-        for b in range(1, 13):
-            assert q.lloyd_max(b, 1.0).converged, b
-        # Panter-Dite high-resolution distortion (pi sqrt(3) / 2) 4^-b at b = 8.
-        assert q.lloyd_max(8, 1.0).mse <= math.pi * math.sqrt(3.0) / 2.0 * 4.0**-8
-
-    def test_invalid_parameters(self):
-        with pytest.raises(q.InvalidParameterError):
-            q.lloyd_max(0, 1.0)
-        with pytest.raises(q.InvalidParameterError):
-            q.lloyd_max(2, 0.0)
-
-    def test_spec_invariants_enforced(self):
-        with pytest.raises(q.InvalidParameterError):
-            q.LloydMaxSpec(levels=np.array([-1.0, 1.0]), thresholds=np.array([0.0, 0.5]))
-        with pytest.raises(q.InvalidParameterError):
-            q.LloydMaxSpec(levels=np.array([1.0, -1.0]), thresholds=np.array([0.0]))
-
-
 class TestApplyCodebook:
     def test_sign_convention(self):
         out = q.sign_quantize(np.array([-0.1, 0.0, 2.0]))
         assert np.array_equal(out, [-1.0, 1.0, 1.0])
-
-    def test_lloyd_nearest_level(self):
-        spec = q.lloyd_max(1, 1.0)
-        assert q.apply_codebook(np.array([0.3]), spec)[0] == pytest.approx(
-            SQRT_2_OVER_PI, abs=1e-9
-        )
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 7.3])
     def test_sign_scale_invariance(self, c):
@@ -163,6 +95,14 @@ def test_import_does_not_load_scipy(child_env):
         "import qcslab, sys; "
         "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
     )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_does_not_load_statistics(child_env):
+    code = "import qcslab, sys; assert 'statistics' not in sys.modules"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=child_env
     )
