@@ -17,14 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import ConfigError, InvalidParameterError
 from .quantize import MAX_BITS
 from .signal_model import SensingMatrix, sigma_n_for_isnr
 
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Problem parameters the bit-depth bound depends on."""
+    """Problem parameters the bit-depth bound depends on; a value outside
+    its domain raises ConfigError naming its field."""
 
     n: int
     k: int
@@ -36,13 +37,12 @@ class BoundParams:
 
     def __post_init__(self):
         if self.budget < 2:
-            raise InvalidParameterError("budget must be >= 2 (bound needs B > 1)")
+            raise ConfigError("budget", "must be >= 2 (bound needs B > 1)")
         if not 0.0 <= self.delta < 1.0:
-            raise InvalidParameterError("delta must lie in [0, 1)")
-        if not (0 <= self.sigma_x2 < math.inf and 0 <= self.sigma_n2 < math.inf):
-            raise InvalidParameterError("variances must be finite and nonnegative")
-        if not 0 <= self.corr_s < math.inf:
-            raise InvalidParameterError("corr_s must be finite and nonnegative")
+            raise ConfigError("delta", "must lie in [0, 1)")
+        for name in ("sigma_x2", "sigma_n2", "corr_s"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(name, "must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -81,17 +81,18 @@ def optimal_bitdepth(p: BoundParams, bits, mode: str = "inner") -> BoundCurve:
     The depths are evaluated in ascending order and must be distinct and
     lie in [2, MAX_BITS]. mode "inner" scores bit depths by the
     parenthesized term alone; "full" uses the complete bound. Ties
-    resolve to the smallest B.
+    resolve to the smallest B. A bad grid raises ConfigError naming bits,
+    a bad mode one naming mode.
     """
     grid = tuple(sorted(bits))
     if not grid:
-        raise InvalidParameterError("need at least one bit depth")
+        raise ConfigError("bits", "need at least one bit depth")
     if len(set(grid)) != len(grid):
-        raise InvalidParameterError(f"bit depths must be distinct, got {list(grid)!r}")
+        raise ConfigError("bits", f"bit depths must be distinct, got {list(grid)!r}")
     if grid[0] < 2 or grid[-1] > MAX_BITS:
-        raise InvalidParameterError(f"bit depths must lie in [2, {MAX_BITS}]")
+        raise ConfigError("bits", f"bit depths must lie in [2, {MAX_BITS}]")
     if mode not in ("inner", "full"):
-        raise InvalidParameterError(f"unknown mode {mode!r}")
+        raise ConfigError("mode", f"must be 'inner' or 'full', got {mode!r}")
     fn = bound_inner_term if mode == "inner" else budget_error_bound
     values = np.array([fn(b, p) for b in grid])
     argmin_b = grid[int(np.argmin(values))]
@@ -135,12 +136,17 @@ def params_for_isnr(
     delta: float = 0.0,
     corr_s: float = 0.0,
 ) -> BoundParams:
-    """BoundParams with the noise variance set from an input SNR in dB."""
+    """BoundParams with the noise variance set from an input SNR in dB
+    (ConfigError naming isnr when it gives no finite variance)."""
+    try:
+        sigma_n2 = sigma_n_for_isnr(k, sigma_x2, n, isnr_db)
+    except InvalidParameterError as exc:
+        raise ConfigError("isnr", str(exc)) from exc
     return BoundParams(
         n=n,
         k=k,
         sigma_x2=sigma_x2,
-        sigma_n2=sigma_n_for_isnr(k, sigma_x2, n, isnr_db),
+        sigma_n2=sigma_n2,
         budget=budget,
         delta=delta,
         corr_s=corr_s,

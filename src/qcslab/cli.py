@@ -7,6 +7,10 @@ outputs (wall-clock timing is opt-in via --timing for that reason).
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure,
 3 partial failure (some tuples skipped or failed, or a sweep budget left
 without a regime map).
+
+A bad value exits 1 with one stderr line: `qcslab: error: --<flag>: ...`
+for a flag (bound-curve names the ConfigError's field as its flag), and
+`qcslab: config error: <field>: ...` for the config field a sweep sets.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import List, Optional
 
 from . import bound as bound_mod
 from . import presets
-from .errors import ConfigError, InvalidParameterError, QcsLabError
+from .errors import ConfigError, QcsLabError
 from .harness import (
     ExperimentConfig,
     RegimePoint,
@@ -35,6 +39,7 @@ from .harness import (
     write_config,
     write_results,
 )
+from .quantize import MAX_BITS
 from .svgplot import PlotSpec, Series, render_svg
 
 EXIT_OK = 0
@@ -61,51 +66,25 @@ def _parse_float_list(text: str, flag: str) -> List[float]:
         raise _UsageError(f"{flag}: cannot parse {text!r} as a comma list of numbers")
 
 
-def _parse_bits(text: str, flag: str = "--bits") -> List[int]:
-    """Accept 'a..b' integer ranges or comma lists like '1,2,4'."""
+def _parse_bits(text: str) -> List[int]:
+    """Accept 'a..b' integer ranges or comma lists like '1,2,4'; a range
+    of more than MAX_BITS depths is refused before it is built."""
     text = text.strip()
     if ".." in text:
         head, _, tail = text.partition("..")
         try:
             lo, hi = int(head), int(tail)
         except ValueError:
-            raise _UsageError(f"{flag}: cannot parse range {text!r}")
+            raise _UsageError(f"--bits: cannot parse range {text!r}")
         if lo > hi:
-            raise _UsageError(f"{flag}: empty range {text!r}")
+            raise _UsageError(f"--bits: empty range {text!r}")
+        if hi - lo >= MAX_BITS:
+            raise _UsageError(f"--bits: range {text!r} spans more than {MAX_BITS} depths")
         return list(range(lo, hi + 1))
     try:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise _UsageError(f"{flag}: cannot parse {text!r}")
-
-
-@contextmanager
-def _blame(flag: str):
-    """Report a parameter error raised in the block as a usage error on flag."""
-    try:
-        yield
-    except (ConfigError, InvalidParameterError) as exc:
-        raise _UsageError(f"{flag}: {exc}") from exc
-
-
-def _bound_budget(args) -> int:
-    """The bound-curve budget, once every flag the bound reads is checked.
-
-    Each check adds one flag's value, so a domain error names that flag.
-    """
-    try:
-        check_signal(args.n, args.k, args.sigma_x2)
-    except ConfigError as exc:  # named by the field; its flag is --<field>
-        flag = "--" + exc.field.replace("_", "-")
-        raise _UsageError(flag + str(exc)[len(exc.field):]) from exc
-    with _blame("--budget"):
-        budget = parse_budget(args.budget, args.n)
-        params = bound_mod.BoundParams(args.n, args.k, args.sigma_x2, 0.0, budget)
-    with _blame("--delta"):
-        params = replace(params, delta=args.delta)
-    with _blame("--corr-s"):
-        replace(params, corr_s=args.corr_s)
-    return budget
+        raise _UsageError(f"--bits: cannot parse {text!r}")
 
 
 def _fmt_num(value: float) -> str:
@@ -189,24 +168,28 @@ def _cmd_bound_curve(args) -> int:
         raise _UsageError("--isnr: need at least one value")
     if len(set(isnr_list)) != len(isnr_list):
         raise _UsageError(f"--isnr: entries must be distinct, got {isnr_list!r}")
-    budget = _bound_budget(args)
-    with _blame("--isnr"):
-        param_list = [
-            bound_mod.params_for_isnr(
-                isnr,
-                n=args.n,
-                k=args.k,
-                sigma_x2=args.sigma_x2,
-                budget=budget,
-                delta=args.delta,
-                corr_s=args.corr_s,
+    try:
+        check_signal(args.n, args.k, args.sigma_x2)
+        budget = parse_budget(args.budget, args.n)
+        curves = [
+            bound_mod.optimal_bitdepth(
+                bound_mod.params_for_isnr(
+                    isnr,
+                    n=args.n,
+                    k=args.k,
+                    sigma_x2=args.sigma_x2,
+                    budget=budget,
+                    delta=args.delta,
+                    corr_s=args.corr_s,
+                ),
+                bits,
+                mode=args.mode,
             )
             for isnr in isnr_list
         ]
-    with _blame("--bits"):
-        curves = [
-            bound_mod.optimal_bitdepth(p, bits, mode=args.mode) for p in param_list
-        ]
+    except ConfigError as exc:  # each field is the flag --<field>, budgets --budget
+        flag = "--budget" if exc.field == "budgets" else "--" + exc.field.replace("_", "-")
+        raise _UsageError(f"{flag}: {exc.message}") from exc
     y_label = "error bound" if args.mode == "full" else "per-measurement error term"
     with _claim_out(args) as out:
         for isnr, curve in zip(isnr_list, curves):
@@ -302,56 +285,52 @@ def _sweep_svgs(cfg: ExperimentConfig, table: ResultTable, out: Path) -> None:
         render_svg(spec, out / f"rsnr_vs_budget_isnr{tag}.svg")
 
 
-def _sweep_into(cfg: ExperimentConfig, out: Path, record_timing: bool = False) -> int:
-    """Run cfg's sweep, print its skip reasons, write config.json (cfg,
-    which `sweep --config` re-runs), results.csv, aggregates.csv, the RSNR
-    charts and one regime map (best B per ISNR) per budget to out, and
-    return the exit code.
+def _cmd_sweep(args) -> int:
+    """Run the sweep of the config, preset and flags, print its skip
+    reasons, write config.json (the config, which `sweep --config` re-runs),
+    results.csv, aggregates.csv, the RSNR charts and one regime map (best B
+    per ISNR) per budget to --out, and return the exit code.
 
     A sweep that executes no tuple writes nothing and raises QcsLabError.
     A budget whose map has no point is named and gets no file; it, like a
     skipped or failed tuple, makes the exit code 3.
     """
-    table = run_sweep(cfg, record_timing=record_timing)
-    _print_skips(table)
-    if not table.rows:
-        raise QcsLabError("no tuples executed")
-    write_config(cfg, out / "config.json")
-    write_results(table, out / "results.csv")
-    write_aggregates(table, out / "aggregates.csv")
-    _sweep_svgs(cfg, table, out)
-    print(f"{len(table.rows)} result rows, {len(table.aggregates)} aggregates -> {out}")
-    unmapped = []
-    for budget in cfg.resolved_budgets():
-        points = regime_map(cfg, budget, table)
-        if not points:
-            unmapped.append(budget)
-            print(f"budget {budget}: no regime map: none of the decoders it ranks ran")
-            continue
-        (out / f"regime_map_budget{budget}.csv").write_text(
-            to_csv(points, RegimePoint), encoding="utf-8"
-        )
-        spec = PlotSpec(
-            series=[
-                Series(
-                    label="bit depth B",
-                    x=[p.isnr_db for p in points],
-                    y=[float(p.best_b) for p in points],
-                )
-            ],
-            x_label="ISNR (dB)",
-            y_label="best bit depth B",
-            title=f"Best bit depth vs ISNR at budget {budget}",
-        )
-        render_svg(spec, out / f"regime_map_budget{budget}.svg")
-        print(f"budget {budget}: {len(points)} regime points -> {out}")
-    return EXIT_PARTIAL if table.skips or unmapped else EXIT_OK
-
-
-def _cmd_sweep(args) -> int:
     cfg = _load_sweep_config(args)
     with _claim_out(args) as out:
-        return _sweep_into(cfg, out, record_timing=args.timing)
+        table = run_sweep(cfg, record_timing=args.timing)
+        _print_skips(table)
+        if not table.rows:
+            raise QcsLabError("no tuples executed")
+        write_config(cfg, out / "config.json")
+        write_results(table, out / "results.csv")
+        write_aggregates(table, out / "aggregates.csv")
+        _sweep_svgs(cfg, table, out)
+        print(f"{len(table.rows)} result rows, {len(table.aggregates)} aggregates -> {out}")
+        unmapped = []
+        for budget in cfg.resolved_budgets():
+            points = regime_map(cfg, budget, table)
+            if not points:
+                unmapped.append(budget)
+                print(f"budget {budget}: no regime map: none of the decoders it ranks ran")
+                continue
+            (out / f"regime_map_budget{budget}.csv").write_text(
+                to_csv(points, RegimePoint), encoding="utf-8"
+            )
+            spec = PlotSpec(
+                series=[
+                    Series(
+                        label="bit depth B",
+                        x=[p.isnr_db for p in points],
+                        y=[float(p.best_b) for p in points],
+                    )
+                ],
+                x_label="ISNR (dB)",
+                y_label="best bit depth B",
+                title=f"Best bit depth vs ISNR at budget {budget}",
+            )
+            render_svg(spec, out / f"regime_map_budget{budget}.svg")
+            print(f"budget {budget}: {len(points)} regime points -> {out}")
+        return EXIT_PARTIAL if table.skips or unmapped else EXIT_OK
 
 
 def _cmd_presets(_args) -> int:
@@ -361,13 +340,8 @@ def _cmd_presets(_args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"qcslab: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         return args.run(args)
     except _UsageError as exc:
         print(f"qcslab: error: {exc}", file=sys.stderr)

@@ -25,13 +25,15 @@ class DegenerateSupportError(QcsLabError):
     """Support submatrix is rank deficient."""
 
 
-class ConfigError(QcsLabError, ValueError):
-    """Experiment configuration is malformed.
+class ConfigError(InvalidParameterError):
+    """A value the user sets is outside its domain.
 
-    Carries the offending field path so callers can point at the exact
-    entry in a JSON document.
+    field names it (a config field such as "budgets", or a parameter such
+    as "delta"); message says what is wrong without restating it, so the
+    CLI can name a flag instead. str(exc) reads "field: message".
     """
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}")

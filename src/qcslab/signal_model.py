@@ -46,14 +46,6 @@ class SparseSignal:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "support", support)
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.support.shape[0]
-
 
 @dataclass(frozen=True)
 class SensingMatrix:

@@ -2,6 +2,8 @@ import argparse
 import csv
 import json
 import math
+import subprocess
+import sys
 from dataclasses import fields, replace
 from typing import get_type_hints
 
@@ -123,6 +125,18 @@ class TestBoundCurveCmd:
         assert main(["bound-curve", flag, value, "--out", str(out)]) == 1
         assert f"error: {flag}:" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--delta", "1.5", "must lie in [0, 1)"),
+            ("--budget", "nanN", "cannot parse multiplier 'nanN'"),
+        ],
+    )
+    def test_domain_error_names_its_flag_once(self, flag, value, message, tmp_path, capsys):
+        # The flag stands for the field, so the message does not restate it.
+        assert main(["bound-curve", flag, value, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"qcslab: error: {flag}: {message}\n"
 
 
 class TestSweepCmd:
@@ -414,6 +428,36 @@ class TestRegimeMapCmd:
         assert main(argv) == 2
         assert out.is_dir() and not any(out.iterdir())
         assert capsys.readouterr().err == captured.err
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound-curve", "--bits", "2..1000000000000"],
+        ["sweep", "--preset", "ci", "--bits", "1..1000000000000"],
+    ],
+)
+def test_huge_bits_range_exits_1_before_it_is_built(argv, tmp_path, child_env):
+    # A range of more than MAX_BITS depths is refused from its ends. The
+    # child runs under a 2 GiB address-space limit, so a CLI that built
+    # the range would fail there (out of memory) rather than exhaust the host.
+    code = (
+        "import resource, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+        "from qcslab.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=dict(child_env, OPENBLAS_NUM_THREADS="1"),
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("qcslab: error: --bits: ")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
+
 
 class TestPresetsCmd:
     def test_list(self, capsys):

@@ -78,7 +78,7 @@ class TestUniformQuantize:
         assert abs(out[0] - v[0]) <= t * 2.0 ** (1 - b) / 2 + 1e-9 * t
 
 
-class TestApplyCodebook:
+class TestSignQuantize:
     def test_sign_convention(self):
         out = q.sign_quantize(np.array([-0.1, 0.0, 2.0]))
         assert np.array_equal(out, [-1.0, 1.0, 1.0])

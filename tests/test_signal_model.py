@@ -14,7 +14,7 @@ class TestGenSparseSignal:
         rng = np.random.default_rng(0)
         x = q.gen_sparse_signal(1000, 10, 1.0, rng)
         assert np.count_nonzero(x.values) == 10
-        assert (x.n, x.k) == (1000, 10)
+        assert (x.values.size, x.support.size) == (1000, 10)
         assert np.all(x.values[np.setdiff1d(np.arange(1000), x.support)] == 0)
 
     def test_full_support_when_k_equals_n(self):
