@@ -18,10 +18,6 @@ from .bound import (
 )
 from .errors import (
     ConfigError,
-    DegenerateMatrixError,
-    DegenerateRangeError,
-    DegenerateSupportError,
-    DimensionMismatchError,
     InvalidParameterError,
     QcsLabError,
 )

@@ -13,13 +13,14 @@ the full bound.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError
-from .quantize import MAX_BITS
-from .signal_model import SensingMatrix, sigma_n_for_isnr
+from .quantize import check_bit_grid
+from .signal_model import SensingMatrix, check_signal, sigma_n_for_isnr
 
 
 @dataclass(frozen=True)
@@ -36,11 +37,12 @@ class BoundParams:
     corr_s: float = 0.0
 
     def __post_init__(self):
-        if self.budget < 2:
-            raise ConfigError("budget", "must be >= 2 (bound needs B > 1)")
+        check_signal(self.n, self.k, self.sigma_x2)
+        if not 2 <= self.budget <= sys.float_info.max:
+            raise ConfigError("budget", "must lie in [2, largest float] (bound needs B > 1)")
         if not 0.0 <= self.delta < 1.0:
             raise ConfigError("delta", "must lie in [0, 1)")
-        for name in ("sigma_x2", "sigma_n2", "corr_s"):
+        for name in ("sigma_n2", "corr_s"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(name, "must be finite and nonnegative")
 
@@ -55,44 +57,49 @@ class BoundCurve:
 
 
 def bound_inner_term(b: float, p: BoundParams) -> float:
-    """Per-measurement error term; the bound is proportional to it."""
+    """Per-measurement error term; the bound is proportional to it. As
+    check_signal keeps k sigma_x2 finite, an overflow names sigma_n2."""
     if b < 2:
         raise InvalidParameterError("inner term is defined for B >= 2")
     att = 2.0 ** (-2.0 * b)
-    return p.k * p.sigma_x2 * b * att + p.n * p.sigma_n2 * b * (1.0 + att)
+    term = p.k * p.sigma_x2 * b * att + p.n * p.sigma_n2 * b * (1.0 + att)
+    if not math.isfinite(term):
+        raise ConfigError("sigma_n2", f"makes the bound overflow at B = {b}")
+    return term
 
 
 def budget_error_bound(b: float, p: BoundParams) -> float:
     """Full reconstruction-MSE upper bound at bit depth b.
 
     The number of measurements budget/b is evaluated as a real number;
-    integer rounding is the caller's concern.
+    integer rounding is the caller's concern. An overflow raises ConfigError
+    naming corr_s for the correlation term, else delta when positive (at
+    delta = 0 the lead 2k / budget is at most k), else sigma_n2.
     """
     if b < 2:
         raise InvalidParameterError("bound is defined for B >= 2")
     lead = 2.0 * p.k / (p.budget * (1.0 - p.delta))
     corr = (p.k / (1.0 - p.delta)) * (p.budget / b - 1.0) * p.corr_s
-    return lead * bound_inner_term(b, p) + corr
+    bound = lead * bound_inner_term(b, p) + corr
+    if not math.isfinite(bound):
+        field = "corr_s" if not math.isfinite(corr) else "delta" if p.delta else "sigma_n2"
+        raise ConfigError(field, f"makes the bound overflow at B = {b}")
+    return bound
 
 
 def optimal_bitdepth(p: BoundParams, bits, mode: str = "inner") -> BoundCurve:
     """Evaluate the bound at each bit depth in bits and locate its minimum.
 
-    The depths are evaluated in ascending order and must be distinct and
-    lie in [2, MAX_BITS]. mode "inner" scores bit depths by the
-    parenthesized term alone; "full" uses the complete bound. Ties
+    The depths are evaluated in ascending order; check_bit_grid, with 2
+    as the lowest depth, owns their rule. mode "inner" scores bit depths
+    by the parenthesized term alone; "full" uses the complete bound. Ties
     resolve to the smallest B. A bad grid raises ConfigError naming bits,
     a bad mode one naming mode.
     """
-    grid = tuple(sorted(bits))
-    if not grid:
-        raise ConfigError("bits", "need at least one bit depth")
-    if len(set(grid)) != len(grid):
-        raise ConfigError("bits", f"bit depths must be distinct, got {list(grid)!r}")
-    if grid[0] < 2 or grid[-1] > MAX_BITS:
-        raise ConfigError("bits", f"bit depths must lie in [2, {MAX_BITS}]")
+    check_bit_grid("bits", bits, 2)
     if mode not in ("inner", "full"):
         raise ConfigError("mode", f"must be 'inner' or 'full', got {mode!r}")
+    grid = tuple(sorted(bits))
     fn = bound_inner_term if mode == "inner" else budget_error_bound
     values = np.array([fn(b, p) for b in grid])
     argmin_b = grid[int(np.argmin(values))]
@@ -138,10 +145,7 @@ def params_for_isnr(
 ) -> BoundParams:
     """BoundParams with the noise variance set from an input SNR in dB
     (ConfigError naming isnr when it gives no finite variance)."""
-    try:
-        sigma_n2 = sigma_n_for_isnr(k, sigma_x2, n, isnr_db)
-    except InvalidParameterError as exc:
-        raise ConfigError("isnr", str(exc)) from exc
+    sigma_n2 = sigma_n_for_isnr(k, sigma_x2, n, isnr_db)
     return BoundParams(
         n=n,
         k=k,

@@ -16,6 +16,7 @@ for a flag (bound-curve names the ConfigError's field as its flag), and
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -29,7 +30,6 @@ from .harness import (
     ExperimentConfig,
     RegimePoint,
     ResultTable,
-    check_signal,
     parse_budget,
     read_config,
     regime_map,
@@ -40,6 +40,7 @@ from .harness import (
     write_results,
 )
 from .quantize import MAX_BITS
+from .signal_model import check_isnr_list
 from .svgplot import PlotSpec, Series, render_svg
 
 EXIT_OK = 0
@@ -76,8 +77,6 @@ def _parse_bits(text: str) -> List[int]:
             lo, hi = int(head), int(tail)
         except ValueError:
             raise _UsageError(f"--bits: cannot parse range {text!r}")
-        if lo > hi:
-            raise _UsageError(f"--bits: empty range {text!r}")
         if hi - lo >= MAX_BITS:
             raise _UsageError(f"--bits: range {text!r} spans more than {MAX_BITS} depths")
         return list(range(lo, hi + 1))
@@ -164,12 +163,8 @@ def _build_parser() -> _Parser:
 def _cmd_bound_curve(args) -> int:
     isnr_list = _parse_float_list(args.isnr, "--isnr")
     bits = _parse_bits(args.bits)
-    if not isnr_list:
-        raise _UsageError("--isnr: need at least one value")
-    if len(set(isnr_list)) != len(isnr_list):
-        raise _UsageError(f"--isnr: entries must be distinct, got {isnr_list!r}")
     try:
-        check_signal(args.n, args.k, args.sigma_x2)
+        check_isnr_list("isnr", isnr_list, args.n, args.k, args.sigma_x2)
         budget = parse_budget(args.budget, args.n)
         curves = [
             bound_mod.optimal_bitdepth(
@@ -187,9 +182,9 @@ def _cmd_bound_curve(args) -> int:
             )
             for isnr in isnr_list
         ]
-    except ConfigError as exc:  # each field is the flag --<field>, budgets --budget
-        flag = "--budget" if exc.field == "budgets" else "--" + exc.field.replace("_", "-")
-        raise _UsageError(f"{flag}: {exc.message}") from exc
+    except ConfigError as exc:  # a field's flag is --<field>, but for these two
+        flag = {"budgets": "budget", "sigma_n2": "isnr"}.get(exc.field, exc.field)
+        raise _UsageError(f"--{flag.replace('_', '-')}: {exc.message}") from exc
     y_label = "error bound" if args.mode == "full" else "per-measurement error term"
     with _claim_out(args) as out:
         for isnr, curve in zip(isnr_list, curves):
@@ -316,12 +311,17 @@ def _cmd_sweep(args) -> int:
             (out / f"regime_map_budget{budget}.csv").write_text(
                 to_csv(points, RegimePoint), encoding="utf-8"
             )
+            print(f"budget {budget}: {len(points)} regime points -> {out}")
+            charted = [p for p in points if math.isfinite(p.isnr_db)]  # inf: CSV only
+            if not charted:
+                print(f"budget {budget}: no regime chart: no finite ISNR to plot")
+                continue
             spec = PlotSpec(
                 series=[
                     Series(
                         label="bit depth B",
-                        x=[p.isnr_db for p in points],
-                        y=[float(p.best_b) for p in points],
+                        x=[p.isnr_db for p in charted],
+                        y=[float(p.best_b) for p in charted],
                     )
                 ],
                 x_label="ISNR (dB)",
@@ -329,7 +329,6 @@ def _cmd_sweep(args) -> int:
                 title=f"Best bit depth vs ISNR at budget {budget}",
             )
             render_svg(spec, out / f"regime_map_budget{budget}.svg")
-            print(f"budget {budget}: {len(points)} regime points -> {out}")
         return EXIT_PARTIAL if table.skips or unmapped else EXIT_OK
 
 

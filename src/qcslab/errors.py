@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""The three exception types, and the rule for a list that a user sets.
+
+QcsLabError is a failed computation (a failed trial; the CLI exits 2);
+InvalidParameterError, a ValueError, an argument outside its domain or
+shape; ConfigError, one the user sets, naming its field (exit 1)."""
 
 
 class QcsLabError(Exception):
@@ -6,23 +10,7 @@ class QcsLabError(Exception):
 
 
 class InvalidParameterError(QcsLabError, ValueError):
-    """A parameter is outside its documented domain."""
-
-
-class DimensionMismatchError(QcsLabError, ValueError):
-    """Vector/matrix shapes do not agree."""
-
-
-class DegenerateMatrixError(QcsLabError):
-    """Matrix does not have the rank required by the operation."""
-
-
-class DegenerateRangeError(QcsLabError):
-    """Quantizer range collapsed to zero (all-zero input)."""
-
-
-class DegenerateSupportError(QcsLabError):
-    """Support submatrix is rank deficient."""
+    """A parameter is outside its documented domain or has the wrong shape."""
 
 
 class ConfigError(InvalidParameterError):
@@ -37,3 +25,12 @@ class ConfigError(InvalidParameterError):
         self.field = field
         self.message = message
         super().__init__(f"{field}: {message}")
+
+
+def check_entries(field: str, values) -> None:
+    """Reject an empty list, or one that repeats an entry (which would run
+    and count its tuples twice, or write one file twice)."""
+    if not values:
+        raise ConfigError(field, "must be nonempty")
+    if len(set(values)) != len(values):
+        raise ConfigError(field, f"entries must be distinct, got {list(values)!r}")

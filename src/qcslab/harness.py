@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError, QcsLabError
-from .quantize import MAX_BITS, dynamic_range, sign_quantize, uniform_quantize
+from .errors import ConfigError, InvalidParameterError, QcsLabError, check_entries
+from .quantize import check_bit_grid, dynamic_range, sign_quantize, uniform_quantize
 from .reconstruct import (
     BihtVariant,
     biht,
@@ -36,6 +36,8 @@ from .reconstruct import (
 )
 from .seeding import derive_seed
 from .signal_model import (
+    check_isnr_list,
+    check_signal,
     empty_matrix,
     gen_gaussian_matrix,
     gen_sparse_signal,
@@ -56,10 +58,10 @@ THREADS_ENV_VAR = "QCSLAB_THREADS"
 
 
 def parse_budget(value, n: int) -> int:
-    """Resolve a budget given as an absolute int or an 'xN' multiplier."""
-    if isinstance(value, bool):
-        raise ConfigError("budgets", f"invalid budget {value!r}")
-    if isinstance(value, int):
+    """Resolve a budget given as an absolute int or an 'xN' multiplier, for an
+    n that check_signal accepts; a multiplier that does not parse (nan) and
+    one whose product with n overflows (inf) raise different ConfigErrors."""
+    if isinstance(value, int) and not isinstance(value, bool):
         budget = value
     elif isinstance(value, float) and value.is_integer():
         budget = int(value)
@@ -69,8 +71,10 @@ def parse_budget(value, n: int) -> int:
             head = text[:-1].strip()
             try:
                 budget = int(round((float(head) if head else 1.0) * n))
-            except (ValueError, OverflowError):  # also nan and inf multipliers
+            except ValueError:  # also a nan multiplier
                 raise ConfigError("budgets", f"cannot parse multiplier {value!r}")
+            except OverflowError:
+                raise ConfigError("budgets", f"multiplier {value!r} overflows at n = {n:.6g}")
         else:
             try:
                 budget = int(text)
@@ -113,26 +117,6 @@ def _parse_value(name, tp, value):
     return _CONFIG_PARSERS[tp](name, value)
 
 
-def check_signal(n: int, k: int, sigma_x2: float) -> None:
-    """Reject a signal model outside its domain; the error names the field."""
-    if n < 1:
-        raise ConfigError("n", "must be >= 1")
-    if not 1 <= k <= n:
-        raise ConfigError("k", "must satisfy 1 <= k <= n")
-    if not 0 < sigma_x2 < math.inf:
-        raise ConfigError("sigma_x2", "must be positive and finite")
-
-
-# A sweep draws n-vectors of float64, so n is capped by numpy's largest array.
-_MAX_N = np.iinfo(np.intp).max // 8
-
-
-def _distinct(name, values):
-    """Reject a repeated entry, which would run and count its tuples twice."""
-    if len(set(values)) != len(values):
-        raise ConfigError(name, f"entries must be distinct, got {list(values)!r}")
-
-
 @dataclass
 class ExperimentConfig:
     """Full parameter tuple of a sweep; JSON (de)serializable."""
@@ -151,32 +135,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_signal(self.n, self.k, self.sigma_x2)
-        if self.n > _MAX_N:
-            raise ConfigError(
-                "n", f"must be at most {_MAX_N}, numpy's longest float64 array"
-            )
         if self.trials < 1:
             raise ConfigError("trials", "must be >= 1")
-        if not self.budgets:
-            raise ConfigError("budgets", "must be nonempty")
-        _distinct("budgets", self.resolved_budgets())
-        if not self.bit_grid or any(not 1 <= b <= MAX_BITS for b in self.bit_grid):
-            raise ConfigError("bit_grid", f"entries must be in [1, {MAX_BITS}]")
-        _distinct("bit_grid", self.bit_grid)
-        if not self.isnr_list:
-            raise ConfigError("isnr_list", "must be nonempty")
-        for isnr in self.isnr_list:
-            try:
-                sigma_n_for_isnr(self.k, self.sigma_x2, self.n, isnr)
-            except InvalidParameterError as exc:
-                raise ConfigError("isnr_list", str(exc)) from exc
-        _distinct("isnr_list", self.isnr_list)
+        check_entries("budgets", self.resolved_budgets())
+        check_bit_grid("bit_grid", self.bit_grid, 1)
+        check_isnr_list("isnr_list", self.isnr_list, self.n, self.k, self.sigma_x2)
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ConfigError("algorithms", f"unknown algorithm {alg!r}")
-        if not self.algorithms:
-            raise ConfigError("algorithms", "must be nonempty")
-        _distinct("algorithms", self.algorithms)
+        check_entries("algorithms", self.algorithms)
         if self.matrix_kind not in MATRIX_KINDS:
             raise ConfigError("matrix_kind", f"must be one of {MATRIX_KINDS}")
         if self.quantizer not in QUANTIZERS:

@@ -11,9 +11,17 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateRangeError, InvalidParameterError
+from .errors import ConfigError, InvalidParameterError, QcsLabError, check_entries
 
 MAX_BITS = 32
+
+
+def check_bit_grid(field: str, bits, lowest: int) -> None:
+    """Reject a bit grid that is empty, holds a depth outside
+    [lowest, MAX_BITS] or repeats one; the ConfigError names field."""
+    if any(not lowest <= b <= MAX_BITS for b in bits):
+        raise ConfigError(field, f"entries must be in [{lowest}, {MAX_BITS}]")
+    check_entries(field, bits)
 
 
 def dynamic_range(y: np.ndarray) -> float:
@@ -25,7 +33,7 @@ def dynamic_range(y: np.ndarray) -> float:
         raise InvalidParameterError("dynamic_range needs finite values")
     t = float(np.max(np.abs(y)))
     if t == 0.0:
-        raise DegenerateRangeError("all-zero input has no usable range")
+        raise QcsLabError("all-zero input has no usable range")
     return t
 
 

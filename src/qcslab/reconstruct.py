@@ -15,11 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateSupportError,
-    DimensionMismatchError,
-    InvalidParameterError,
-)
+from .errors import InvalidParameterError, QcsLabError
 from .quantize import sign_quantize
 from .signal_model import SensingMatrix
 
@@ -45,7 +41,7 @@ def oracle_ls(phi: SensingMatrix, y: np.ndarray, support) -> np.ndarray:
     """Least-squares coefficients on the true support, zero elsewhere."""
     y = np.asarray(y, dtype=float)
     if y.shape != (phi.rows,):
-        raise DimensionMismatchError("measurement length != matrix rows")
+        raise InvalidParameterError("measurement length != matrix rows")
     idx = np.unique(np.asarray(support, dtype=int))
     if idx.size == 0 or idx.size > phi.rows:
         raise InvalidParameterError("support size must be in [1, rows]")
@@ -54,7 +50,7 @@ def oracle_ls(phi: SensingMatrix, y: np.ndarray, support) -> np.ndarray:
     sub = phi.entries[:, idx]
     sol, _, rank, _ = np.linalg.lstsq(sub, y, rcond=None)
     if rank < idx.size:
-        raise DegenerateSupportError("support submatrix is rank deficient")
+        raise QcsLabError("support submatrix is rank deficient")
     x_hat = np.zeros(phi.cols)
     x_hat[idx] = sol
     return x_hat
@@ -311,7 +307,7 @@ def bpdn(
     a = phi.entries
     y = np.asarray(y, dtype=float)
     if y.shape != (phi.rows,):
-        raise DimensionMismatchError("measurement length != matrix rows")
+        raise InvalidParameterError("measurement length != matrix rows")
     if not np.isfinite(y).all():
         raise InvalidParameterError("y must be finite")
 
@@ -466,7 +462,7 @@ def biht(
         raise InvalidParameterError("max_iter must be >= 1")
     y_sign = np.asarray(y_sign, dtype=float)
     if y_sign.shape != (phi.rows,):
-        raise DimensionMismatchError("sign vector length != matrix rows")
+        raise InvalidParameterError("sign vector length != matrix rows")
     if not np.all(np.abs(y_sign) == 1.0):
         raise InvalidParameterError("y_sign entries must be +-1")
     a = phi.entries
@@ -546,7 +542,7 @@ def squared_error(
     x_true = np.asarray(x_true, dtype=float)
     x_hat = np.asarray(x_hat, dtype=float)
     if x_true.shape != x_hat.shape:
-        raise DimensionMismatchError("length mismatch")
+        raise InvalidParameterError("length mismatch")
     if rescale_1bit:
         nh = float(np.linalg.norm(x_hat))
         if nh > 0:
@@ -576,5 +572,5 @@ def hamming_consistency(
     y_sign = np.asarray(y_sign, dtype=float)
     x_hat = np.asarray(x_hat, dtype=float)
     if y_sign.shape != (phi.rows,) or x_hat.shape != (phi.cols,):
-        raise DimensionMismatchError("shape mismatch")
+        raise InvalidParameterError("shape mismatch")
     return float(np.mean(_sign_mismatch(phi.entries @ x_hat, y_sign)))

@@ -12,11 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateMatrixError,
-    DimensionMismatchError,
-    InvalidParameterError,
-)
+from .errors import ConfigError, InvalidParameterError, QcsLabError, check_entries
 
 
 @dataclass(frozen=True)
@@ -56,7 +52,7 @@ class SensingMatrix:
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
         if entries.ndim != 2:
-            raise DimensionMismatchError(f"entries must be 2-D, not {entries.shape}")
+            raise InvalidParameterError(f"entries must be 2-D, not {entries.shape}")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
@@ -69,6 +65,26 @@ class SensingMatrix:
         return self.entries.shape[1]
 
 
+# n is capped by numpy's longest float64 array, far below the largest float.
+_MAX_N = np.iinfo(np.intp).max // 8
+
+
+def check_signal(n: int, k: int, sigma_x2: float) -> None:
+    """Reject, naming the field, a signal model outside 1 <= k <= n <= _MAX_N
+    and 0 < sigma_x2 with k * sigma_x2 finite, so that no later formula (n
+    times a budget multiplier, an ISNR's noise variance) overflows on it."""
+    if n < 1:
+        raise ConfigError("n", "must be >= 1")
+    if n > _MAX_N:
+        raise ConfigError("n", f"must be at most {_MAX_N}, numpy's longest float64 array")
+    if not 1 <= k <= n:
+        raise ConfigError("k", "must satisfy 1 <= k <= n")
+    if not 0 < sigma_x2 < math.inf:
+        raise ConfigError("sigma_x2", "must be positive and finite")
+    if k * sigma_x2 == math.inf:
+        raise ConfigError("sigma_x2", f"makes k * sigma_x2 overflow at k = {k}")
+
+
 def gen_sparse_signal(
     n: int, k: int, sigma_x2: float, rng: np.random.Generator
 ) -> SparseSignal:
@@ -77,10 +93,7 @@ def gen_sparse_signal(
     Nonzero amplitudes are independent N(0, sigma_x2), so the expected
     signal energy is k * sigma_x2.
     """
-    if k < 1 or k > n:
-        raise InvalidParameterError(f"sparsity k={k} must satisfy 1 <= k <= n={n}")
-    if sigma_x2 <= 0:
-        raise InvalidParameterError("sigma_x2 must be positive")
+    check_signal(n, k, sigma_x2)
     support = np.sort(rng.choice(n, size=k, replace=False))
     values = np.zeros(n)
     values[support] = math.sqrt(sigma_x2) * rng.standard_normal(k)
@@ -91,11 +104,10 @@ def sigma_n_for_isnr(k: int, sigma_x2: float, n: int, isnr_db: float) -> float:
     """Signal-noise variance giving the requested input SNR in dB.
 
     Inverts isnr = 10 log10(k sigma_x2 / (n sigma_n2)); an ISNR of +inf
-    maps to zero noise. An ISNR with no finite noise variance (NaN, -inf,
-    or so low that the variance overflows) is rejected.
+    maps to zero noise. After check_signal, an ISNR with no finite noise
+    variance (NaN, -inf, or so low that it overflows) raises ConfigError.
     """
-    if k < 1 or n < 1 or sigma_x2 <= 0:
-        raise InvalidParameterError("k, n, sigma_x2 must be positive")
+    check_signal(n, k, sigma_x2)
     if isnr_db == math.inf:
         return 0.0
     try:
@@ -103,10 +115,21 @@ def sigma_n_for_isnr(k: int, sigma_x2: float, n: int, isnr_db: float) -> float:
     except OverflowError:
         sigma_n2 = math.inf
     if not math.isfinite(sigma_n2):
-        raise InvalidParameterError(
-            f"ISNR {isnr_db!r} dB gives no finite noise variance"
-        )
+        raise ConfigError("isnr", f"ISNR {isnr_db!r} dB gives no finite noise variance")
     return sigma_n2
+
+
+def check_isnr_list(field: str, isnr_list, n: int, k: int, sigma_x2: float) -> None:
+    """Reject a signal model that check_signal refuses, then an ISNR list
+    that is empty, repeats an ISNR or holds one with no finite noise
+    variance (sigma_n_for_isnr); the ConfigError of the list names field."""
+    check_signal(n, k, sigma_x2)
+    for isnr in isnr_list:
+        try:
+            sigma_n_for_isnr(k, sigma_x2, n, isnr)
+        except ConfigError as exc:
+            raise ConfigError(field, exc.message) from exc
+    check_entries(field, isnr_list)
 
 
 def empty_matrix(m: int, n: int) -> np.ndarray:
@@ -159,7 +182,7 @@ def make_tight_frame(phi: SensingMatrix) -> SensingMatrix:
     q, r = np.linalg.qr(phi.entries.T)
     diag = np.abs(np.diag(r))
     if diag.min() <= n * np.finfo(float).eps * max(diag.max(), 1e-300):
-        raise DegenerateMatrixError("input matrix is rank deficient")
+        raise QcsLabError("input matrix is rank deficient")
     entries = math.sqrt(n / m) * q.T
     return SensingMatrix(entries)
 
@@ -168,7 +191,7 @@ def measure(phi: SensingMatrix, x: np.ndarray) -> np.ndarray:
     """Measurements Phi x; noisy ones are measure(phi, x) + measure(phi, n)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (phi.cols,):
-        raise DimensionMismatchError(
+        raise InvalidParameterError(
             f"signal length {x.shape} != matrix cols {phi.cols}"
         )
     return phi.entries @ x

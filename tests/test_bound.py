@@ -46,6 +46,11 @@ class TestInnerTerm:
         with pytest.raises(q.InvalidParameterError):
             q.bound_inner_term(1, NORMALIZED_35)
 
+    def test_overflow_names_sigma_n2(self):
+        p = q.params_for_isnr(-3070.0)
+        with pytest.raises(q.ConfigError, match="sigma_n2: makes the bound overflow at B = 2"):
+            q.bound_inner_term(2, p)
+
     def test_noiseless_reduction(self):
         p = q.BoundParams(n=50, k=5, sigma_x2=2.0, sigma_n2=0.0, budget=100)
         for b in (2, 5, 9):
@@ -75,6 +80,22 @@ class TestFullBound:
         assert q.budget_error_bound(6, corr) == pytest.approx(
             q.budget_error_bound(6, base) + extra, rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(corr_s=1e308), "corr_s"),
+            (dict(isnr_db=-3070.0), "sigma_n2"),
+            # The inner term is finite (4.2e307); lead = 2k / budget scales it past.
+            (dict(isnr_db=-3063.0, budget=2.0), "sigma_n2"),
+            (dict(sigma_x2=1e300, delta=1 - 2**-53), "delta"),
+        ],
+    )
+    def test_overflow_names_its_input(self, overrides, field):
+        p = q.params_for_isnr(**{"isnr_db": 35.0, **overrides})
+        with pytest.raises(q.ConfigError, match="makes the bound overflow at B = 2") as exc:
+            q.budget_error_bound(2, p)
+        assert exc.value.field == field
 
     def test_decreasing_in_budget(self):
         budgets = [500.0, 1000.0, 2000.0, 8000.0]

@@ -117,6 +117,8 @@ class TestBoundCurveCmd:
             ("--isnr", "nan"),
             ("--isnr", "20,20"),
             ("--bits", "4,4"),
+            pytest.param("--n", "1" + "0" * 400, id="--n-1e400"),
+            ("--sigma-x2", "1e308"),
         ],
     )
     def test_out_of_domain_flag_exits_1_naming_it(self, flag, value, tmp_path, capsys):
@@ -131,12 +133,34 @@ class TestBoundCurveCmd:
         [
             ("--delta", "1.5", "must lie in [0, 1)"),
             ("--budget", "nanN", "cannot parse multiplier 'nanN'"),
+            ("--budget", "infN", "multiplier 'infN' overflows at n = 1000"),
+            ("--sigma-x2", "1e308", "makes k * sigma_x2 overflow at k = 10"),
         ],
     )
     def test_domain_error_names_its_flag_once(self, flag, value, message, tmp_path, capsys):
         # The flag stands for the field, so the message does not restate it.
         assert main(["bound-curve", flag, value, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"qcslab: error: {flag}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--corr-s", "1e308", "--mode", "full"], "--corr-s"),
+            (["--isnr", "-3070"], "--isnr"),
+            (["--isnr", "20,-3070", "--mode", "full"], "--isnr"),
+            (["--delta", "0.9999999999999999", "--sigma-x2", "1e300", "--mode", "full"],
+             "--delta"),
+            pytest.param(["--budget", "1" + "0" * 400, "--mode", "full"], "--budget",
+                         id="budget-1e400"),
+        ],
+    )
+    def test_overflowing_bound_exits_1_naming_its_input(self, flags, flag, tmp_path, capsys):
+        # Every value is in its own domain, but the curve would hold inf.
+        assert main(["bound-curve", *flags, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"qcslab: error: {flag}: ")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
 
 class TestSweepCmd:
@@ -279,13 +303,20 @@ class TestSweepCmd:
 
     @pytest.mark.parametrize(
         "overrides",
-        [dict(sigma_x2=math.nan), dict(sigma_x2=math.inf, isnr_list=[math.inf])],
+        [
+            dict(sigma_x2=math.nan),
+            dict(sigma_x2=math.inf, isnr_list=[math.inf]),
+            # k * sigma_x2 overflows, which no ISNR's noise variance survives.
+            dict(sigma_x2=1e308),
+        ],
     )
     def test_non_finite_sigma_x2_exits_1_naming_it(self, overrides, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path / "cfg.json", **overrides)
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "config error: sigma_x2:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("qcslab: config error: sigma_x2:")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -398,6 +429,26 @@ class TestRegimeMapCmd:
             for suffix in ("csv", "svg"):
                 name = f"regime_map_budget{budget}.{suffix}"
                 assert (both / name).read_bytes() == (alone / name).read_bytes()
+
+    def test_infinite_isnr_stays_in_the_csv_off_the_chart(self, tmp_path, capsys):
+        # An ISNR of inf (no noise) is in the domain, but no axis can show it.
+        cfg = write_tiny_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(cfg), "--budget", "2N", "--bits", "2,4"]
+        assert main([*argv, "--isnr", "10,inf", "--out", str(out)]) == 0
+        rows = read_csv(out / "regime_map_budget128.csv")
+        assert [r["isnr_db"] for r in rows] == ["10.0", "inf"]
+        assert (out / "regime_map_budget128.svg").exists()
+        capsys.readouterr()
+        only_inf = tmp_path / "only_inf"
+        assert main([*argv, "--isnr", "inf", "--out", str(only_inf)]) == 0
+        assert [r["isnr_db"] for r in read_csv(only_inf / "regime_map_budget128.csv")] == [
+            "inf"
+        ]
+        assert not (only_inf / "regime_map_budget128.svg").exists()
+        captured = capsys.readouterr()
+        assert "budget 128: no regime chart: no finite ISNR to plot\n" in captured.out
+        assert captured.err == ""
 
     def test_empty_map_exits_3_writing_no_map(self, tmp_path, capsys):
         # biht_l1 applies at no bit depth of the grid, and the oracle,

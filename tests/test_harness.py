@@ -55,6 +55,13 @@ class TestBudgetParsing:
             with pytest.raises(q.ConfigError, match="multiplier"):
                 q.parse_budget(text, 1000)
 
+    def test_overflow_told_from_unparsable_multiplier(self):
+        with pytest.raises(q.ConfigError, match="cannot parse multiplier 'nanN'"):
+            q.parse_budget("nanN", 1000)
+        for text in ("infN", "1e400N", "1e300N"):
+            with pytest.raises(q.ConfigError, match=f"multiplier '{text}' overflows at n = 1e\\+10"):
+                q.parse_budget(text, 10**10)
+
 
 class TestConfig:
     def test_round_trip_file(self, tmp_path):

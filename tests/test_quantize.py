@@ -14,7 +14,7 @@ class TestDynamicRange:
         assert q.dynamic_range(np.array([-0.2, 0.7, -0.9])) == pytest.approx(0.9)
 
     def test_all_zero_degenerate(self):
-        with pytest.raises(q.DegenerateRangeError):
+        with pytest.raises(q.QcsLabError, match="all-zero input has no usable range"):
             q.dynamic_range(np.array([0.0]))
 
     def test_empty_rejected(self):
