@@ -61,6 +61,6 @@ from .signal_model import (
     measure,
     sigma_n_for_isnr,
 )
-from .svgplot import PlotSpec, Series, render_svg
+from .svgplot import Series, render_svg
 
 __version__ = "0.1.0"

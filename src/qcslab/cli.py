@@ -41,7 +41,7 @@ from .harness import (
 )
 from .quantize import MAX_BITS
 from .signal_model import check_isnr_list
-from .svgplot import PlotSpec, Series, render_svg
+from .svgplot import Series, render_svg
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -197,8 +197,9 @@ def _cmd_bound_curve(args) -> int:
                 to_csv(rows, BoundCurveRow), encoding="utf-8"
             )
             min_val = float(curve.values[curve.bit_grid.index(curve.argmin_b)])
-            spec = PlotSpec(
-                series=[
+            render_svg(
+                out / f"bound_curve_isnr{tag}.svg",
+                [
                     Series(
                         label=f"ISNR {tag} dB",
                         x=list(curve.bit_grid),
@@ -210,7 +211,6 @@ def _cmd_bound_curve(args) -> int:
                 title=f"Bound vs bit depth, ISNR {tag} dB (min at B={curve.argmin_b})",
                 markers=[(float(curve.argmin_b), min_val)],
             )
-            render_svg(spec, out / f"bound_curve_isnr{tag}.svg")
             print(f"ISNR {tag} dB: optimal B = {curve.argmin_b}")
     print(f"wrote {2 * len(isnr_list)} files to {out}")
     return EXIT_OK
@@ -271,13 +271,13 @@ def _sweep_svgs(cfg: ExperimentConfig, table: ResultTable, out: Path) -> None:
             for (bit_depth, algorithm), aggs in curves.items()
         ]
         tag = _fmt_num(isnr)
-        spec = PlotSpec(
-            series=series,
+        render_svg(
+            out / f"rsnr_vs_budget_isnr{tag}.svg",
+            series,
             x_label="total bits",
             y_label="mean RSNR (dB)",
             title=f"RSNR vs bit budget, ISNR {tag} dB",
         )
-        render_svg(spec, out / f"rsnr_vs_budget_isnr{tag}.svg")
 
 
 def _cmd_sweep(args) -> int:
@@ -316,8 +316,9 @@ def _cmd_sweep(args) -> int:
             if not charted:
                 print(f"budget {budget}: no regime chart: no finite ISNR to plot")
                 continue
-            spec = PlotSpec(
-                series=[
+            render_svg(
+                out / f"regime_map_budget{budget}.svg",
+                [
                     Series(
                         label="bit depth B",
                         x=[p.isnr_db for p in charted],
@@ -328,7 +329,6 @@ def _cmd_sweep(args) -> int:
                 y_label="best bit depth B",
                 title=f"Best bit depth vs ISNR at budget {budget}",
             )
-            render_svg(spec, out / f"regime_map_budget{budget}.svg")
         return EXIT_PARTIAL if table.skips or unmapped else EXIT_OK
 
 

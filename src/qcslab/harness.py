@@ -18,7 +18,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, get_args, get_origin, get_type_hints
 
@@ -152,10 +152,6 @@ class ExperimentConfig:
     def resolved_budgets(self) -> List[int]:
         return [parse_budget(v, self.n) for v in self.budgets]
 
-    def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: list(v) if isinstance(v, list) else v for k, v in out.items()}
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
@@ -185,7 +181,7 @@ def read_config(path) -> ExperimentConfig:
 def write_config(cfg: ExperimentConfig, path) -> None:
     """Write cfg as the JSON that read_config loads back to an equal config."""
     Path(path).write_text(
-        json.dumps(cfg.to_dict(), indent=2) + "\n", encoding="utf-8"
+        json.dumps(asdict(cfg), indent=2) + "\n", encoding="utf-8"
     )
 
 
@@ -549,10 +545,11 @@ def classify_regime(best_b: int) -> str:
     return "transition"
 
 
-def regime_map(cfg: ExperimentConfig, budget, table: ResultTable) -> List[RegimePoint]:
+def regime_map(cfg: ExperimentConfig, budget: int, table: ResultTable) -> List[RegimePoint]:
     """Pick the RSNR-maximizing (M, B) pair per ISNR at a fixed budget.
 
-    Ranks the aggregates that run_sweep(cfg) put in table at that budget;
+    budget is a number of bits, one of cfg.resolved_budgets(). Ranks the
+    aggregates that run_sweep(cfg) put in table at that budget;
     it runs no trial. The aggregate with the highest mean RSNR wins among
     the requested practical decoders (cfg.algorithms less
     ORACLE_ALGORITHMS, or the oracles when nothing else was requested),
@@ -560,14 +557,13 @@ def regime_map(cfg: ExperimentConfig, budget, table: ResultTable) -> List[Regime
     to the smaller B. Low optimal bit depths classify as the QC regime,
     high ones as MC. An ISNR with no ranked aggregate gets no point.
     """
-    resolved = parse_budget(budget, cfg.n)
     ranked = [a for a in cfg.algorithms if a not in ORACLE_ALGORITHMS] or cfg.algorithms
     points = []
     for isnr in cfg.isnr_list:
         candidates = [
             agg
             for agg in table.aggregates
-            if agg.budget == resolved
+            if agg.budget == budget
             and agg.algorithm in ranked
             and agg.bit_depth in cfg.bit_grid
             and agg.isnr_db == float(isnr)

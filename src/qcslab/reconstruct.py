@@ -86,6 +86,8 @@ _DEPENDENT_TOL = 1e-10
 # updated value drifted at most 3e-11 of the exact one between
 # recomputations.
 _STOP_MARGIN = 1e-3
+# Path steps after which bpdn stops and reports what it has.
+_BPDN_MAX_STEPS = 2000
 
 
 # Joins after which _ActiveSet forms the Gram matrix Phi^T Phi once and
@@ -273,7 +275,6 @@ def bpdn(
     phi: SensingMatrix,
     y: np.ndarray,
     eps: float,
-    max_iter: int = 2000,
 ) -> ReconResult:
     """Minimize ||x||_1 subject to ||y - Phi x||_2 <= eps.
 
@@ -293,15 +294,13 @@ def bpdn(
     m = 125-3000; 8 MB, freed when the call returns) and a join is a swap
     of two of its rows.
 
-    iterations counts path steps, and max_iter caps them. converged is a
+    iterations counts path steps, at most _BPDN_MAX_STEPS. converged is a
     KKT certificate on the returned x (_kkt_certified): feasible, and
     optimal for the path's final lam. Its tolerances are relative to lam,
     so a y that a sparse x fits almost exactly, with a tiny eps, can end
     at a lam so small that rounding fails the check on an x that is
     optimal to working precision; converged is then False.
     """
-    if max_iter < 1:
-        raise InvalidParameterError("max_iter must be >= 1")
     if not eps >= 0:  # also nan
         raise InvalidParameterError(f"eps must be nonnegative, got {eps!r}")
     a = phi.entries
@@ -332,7 +331,7 @@ def bpdn(
     exact = False  # whether x, c and rr were just recomputed at lam
     since = 0
     it = 0
-    while it < max_iter:
+    while it < _BPDN_MAX_STEPS:
         k = act.k
         idx, s, xs = act.idx[:k], act.sign[:k], act.x[:k]
         if exact:
@@ -422,6 +421,8 @@ def _sign_mismatch(ax: np.ndarray, y_sign: np.ndarray) -> np.ndarray:
 
 
 _GATHER_BLOCK = 64
+# Iterations after which biht stops and returns its best iterate.
+_BIHT_MAX_ITERS = 100
 
 
 def _gather_gradient(a: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -438,7 +439,6 @@ def biht(
     y_sign: np.ndarray,
     k: int,
     variant: BihtVariant = BihtVariant.ONE_SIDED_L1,
-    max_iter: int = 100,
 ) -> ReconResult:
     """Binary iterative hard thresholding on sign measurements.
 
@@ -446,9 +446,9 @@ def biht(
     one-sided sign-consistency objective from the unit-norm proxy
     H_k(Phi^T y); later iterates are not renormalized. Returns the
     iterate with the lowest sign-disagreement fraction seen, which is
-    never worse than the starting proxy; stops early once the signs match
-    exactly. The scale of the signal is unrecoverable, so the
-    estimate is reported with unit l2 norm.
+    never worse than the starting proxy; stops after _BIHT_MAX_ITERS
+    iterations, or once the signs match exactly. The scale of the signal
+    is unrecoverable, so the estimate is reported with unit l2 norm.
 
     Each product touches only what can be nonzero. Phi x reads a k x m
     block that holds, contiguously, the k columns H_k kept; the block
@@ -458,8 +458,6 @@ def biht(
     off the sign-disagreeing rows, reads only those rows, _GATHER_BLOCK
     at a time.
     """
-    if max_iter < 1:
-        raise InvalidParameterError("max_iter must be >= 1")
     y_sign = np.asarray(y_sign, dtype=float)
     if y_sign.shape != (phi.rows,):
         raise InvalidParameterError("sign vector length != matrix rows")
@@ -486,7 +484,7 @@ def biht(
     best_x = x.copy()
     best_ham = math.inf
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _BIHT_MAX_ITERS + 1):
         ax = x[cols] @ block
         bad = _sign_mismatch(ax, y_sign)
         ham = float(np.mean(bad))

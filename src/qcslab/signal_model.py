@@ -17,30 +17,10 @@ from .errors import ConfigError, InvalidParameterError, QcsLabError, check_entri
 
 @dataclass(frozen=True)
 class SparseSignal:
-    """Ground-truth sparse vector with its support."""
+    """Ground-truth sparse vector with its support, as gen_sparse_signal draws it."""
 
     values: np.ndarray
     support: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        support = np.asarray(self.support, dtype=int)
-        if values.ndim != 1:
-            raise InvalidParameterError("values must be a vector")
-        if support.ndim != 1:
-            raise InvalidParameterError("support must be a vector of indices")
-        if len(np.unique(support)) != support.size:
-            raise InvalidParameterError("support indices must be distinct")
-        if support.size and (support.min() < 0 or support.max() >= values.size):
-            raise InvalidParameterError("support indices out of range")
-        off = np.ones(values.size, dtype=bool)
-        off[support] = False
-        if np.any(values[off] != 0.0):
-            raise InvalidParameterError("values must vanish off the support")
-        values.flags.writeable = False
-        support.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "support", support)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Dependency-free SVG line charts with deterministic byte output.
 
-Identical plot specs always render to identical bytes: coordinates are
+Identical arguments always render to identical bytes: coordinates are
 formatted with fixed precision and no timestamps or random ids are
 embedded. Every series shares the one y axis; the legend sits in the
 right margin.
@@ -9,9 +9,10 @@ right margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import InvalidParameterError
 
@@ -21,6 +22,9 @@ MARGIN_LEFT = 78
 MARGIN_RIGHT = 210
 MARGIN_TOP = 56
 MARGIN_BOTTOM = 78
+# About this many ticks per axis; data ranges are padded by this share of their span.
+_TICKS = 6
+_PAD = 0.06
 
 COLORS = [
     "#1f77b4",
@@ -45,15 +49,6 @@ class Series:
     y: Sequence[float]
 
 
-@dataclass(frozen=True)
-class PlotSpec:
-    series: Sequence[Series]
-    x_label: str
-    y_label: str
-    title: Optional[str] = None
-    markers: Sequence[Tuple[float, float]] = field(default_factory=tuple)
-
-
 def _escape(text: str) -> str:
     return (
         text.replace("&", "&amp;")
@@ -75,40 +70,49 @@ def _fmt_tick(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6):
-    span = hi - lo
-    if span <= 0:
-        return [lo]
-    raw = span / target
+def _nice_ticks(lo: float, hi: float):
+    """Multiples of a 1-2-5 step of about (hi - lo) / _TICKS in [lo, hi],
+    each i * step for an integer i taken from a range, so the count is
+    bounded even where adding the step would not move a tick. A range whose
+    step would be subnormal, or that is empty, gets no ticks."""
+    raw = (hi - lo) / _TICKS
+    if raw < sys.float_info.min:
+        return []
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    v = first
-    while v <= hi + 1e-9 * span:
-        ticks.append(0.0 if abs(v) < 1e-12 * span else v)
-        v += step
-    return ticks
+    slack = 1e-9 * (hi / step - lo / step)
+    first, last = math.ceil(lo / step), math.floor(hi / step + slack)
+    return [i * step for i in range(first, last + 1)]
 
 
-def _data_range(values, pad_frac: float = 0.06):
+def _data_range(values):
+    """The values' range padded by _PAD of its span (a lone value by half
+    of itself, or by 1 where that is 0), clamped to the finite floats."""
     lo = min(values)
     hi = max(values)
     if hi == lo:
-        pad = 1.0 if hi == 0 else abs(hi) * 0.5
+        pad = abs(hi) * 0.5 or 1.0
     else:
-        pad = (hi - lo) * pad_frac
-    return lo - pad, hi + pad
+        pad = (hi - lo) * _PAD
+    top = sys.float_info.max
+    return max(lo - pad, -top), min(hi + pad, top)
 
 
-def render_svg(spec: PlotSpec, path) -> None:
-    """Write the chart described by `spec` as a standalone SVG file."""
-    if not spec.series:
+def render_svg(
+    path,
+    series: Sequence[Series],
+    x_label: str,
+    y_label: str,
+    title: str,
+    markers: Sequence[Tuple[float, float]] = (),
+) -> None:
+    """Write a chart of series, with black marker dots, as a standalone SVG file."""
+    if not series:
         raise InvalidParameterError("plot needs at least one series")
-    for s in spec.series:
+    for s in series:
         if len(s.x) != len(s.y):
             raise InvalidParameterError(f"series {s.label!r} has mismatched x/y")
         if len(s.x) == 0:
@@ -117,12 +121,12 @@ def render_svg(spec: PlotSpec, path) -> None:
     plot_l, plot_r = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
     plot_t, plot_b = MARGIN_TOP, HEIGHT - MARGIN_BOTTOM
 
-    xs = [float(v) for s in spec.series for v in s.x]
-    xs += [float(mx) for mx, _ in spec.markers]
+    xs = [float(v) for s in series for v in s.x]
+    xs += [float(mx) for mx, _ in markers]
     x_lo, x_hi = _data_range(xs)
 
-    ys = [float(v) for s in spec.series for v in s.y]
-    ys += [float(my) for _, my in spec.markers]
+    ys = [float(v) for s in series for v in s.y]
+    ys += [float(my) for _, my in markers]
     y_lo, y_hi = _data_range(ys)
 
     def x_px(v: float) -> float:
@@ -137,11 +141,10 @@ def render_svg(spec: PlotSpec, path) -> None:
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
     )
     out.append('<rect width="100%" height="100%" fill="#ffffff"/>')
-    if spec.title:
-        out.append(
-            f'<text x="{WIDTH / 2:.1f}" y="30" text-anchor="middle" '
-            f'font-size="18" font-family="Helvetica">{_escape(spec.title)}</text>'
-        )
+    out.append(
+        f'<text x="{WIDTH / 2:.1f}" y="30" text-anchor="middle" '
+        f'font-size="18" font-family="Helvetica">{_escape(title)}</text>'
+    )
 
     for tick in _nice_ticks(y_lo, y_hi):
         py = y_px(tick)
@@ -175,7 +178,7 @@ def render_svg(spec: PlotSpec, path) -> None:
 
     legend_x = plot_r + 46
     legend_y = plot_t + 10
-    for i, s in enumerate(spec.series):
+    for i, s in enumerate(series):
         color = COLORS[i % len(COLORS)]
         pts = sorted(zip(s.x, s.y), key=lambda p: p[0])
         coords = " ".join(
@@ -200,7 +203,7 @@ def render_svg(spec: PlotSpec, path) -> None:
             f'font-family="Helvetica">{_escape(s.label)}</text>'
         )
 
-    for mx, my in spec.markers:
+    for mx, my in markers:
         out.append(
             f'<circle cx="{_fmt(x_px(float(mx)))}" cy="{_fmt(y_px(float(my)))}" '
             'r="5" fill="#000000"/>'
@@ -208,13 +211,13 @@ def render_svg(spec: PlotSpec, path) -> None:
 
     out.append(
         f'<text x="{(plot_l + plot_r) / 2:.1f}" y="{HEIGHT - 18}" text-anchor="middle" '
-        f'font-size="14" font-family="Helvetica">{_escape(spec.x_label)}</text>'
+        f'font-size="14" font-family="Helvetica">{_escape(x_label)}</text>'
     )
     mid_y = (plot_t + plot_b) / 2
     out.append(
         f'<text x="22" y="{mid_y:.1f}" text-anchor="middle" font-size="14" '
         f'font-family="Helvetica" transform="rotate(-90 22 {mid_y:.1f})">'
-        f"{_escape(spec.y_label)}</text>"
+        f"{_escape(y_label)}</text>"
     )
     out.append("</svg>")
 

@@ -225,7 +225,7 @@ def test_criterion_06_bpdn_contract():
 def test_criterion_07_regime_ordering(ci_table):
     isnrs = (35.0, 20.0, 10.0, 5.0)
     # The ci preset requests oracle_ls too; the map ranks the practical decoders.
-    points = q.regime_map(sweep_preset("ci"), "2N", ci_table)
+    points = q.regime_map(sweep_preset("ci"), 512, ci_table)  # 2N at N = 256
     best = {p.isnr_db: p.best_b for p in points}
     ordered = [best[i] for i in isnrs]
     monotone = all(a >= b for a, b in zip(ordered, ordered[1:]))

@@ -1,9 +1,11 @@
 import argparse
 import csv
+import hashlib
 import json
 import math
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 from typing import get_type_hints
 
@@ -45,6 +47,27 @@ class TestBoundCurveCmd:
             marked = [int(r["bit_depth"]) for r in rows if r["is_min"] == "1"]
             assert marked == [best]
             assert (tmp_path / f"bound_curve_isnr{isnr}.svg").exists()
+
+    def test_default_output_bytes_pinned(self, tmp_path, capsys):
+        # bound-curve draws nothing at random, so its default files are a
+        # fixed function of the code. A change that moves any byte of them
+        # must record new digests here on purpose.
+        digests = {
+            "bound_curve_isnr10.csv": "0f82f6b1d9da81809d5c1f6d0050a7b4c893c9eb83b0c10b7b39a2b5ab3f14ec",
+            "bound_curve_isnr10.svg": "21c9751f3b6a6923793e7f26e927919ec9df0c2d3141bddef71472de9910ee1f",
+            "bound_curve_isnr20.csv": "31c276683241ec5e65eb9f99a881a8d38b959caeeea2bc8e160d4b367a8976fb",
+            "bound_curve_isnr20.svg": "7ece22bc25707cf8fd50e9930c56f78c7ffdda38eec880e8702b55ac7527ded0",
+            "bound_curve_isnr35.csv": "3dda0c0e2d4f53a017d30ffbf3db877b536e4555d5c95ac1cb2fdedb6040ef3d",
+            "bound_curve_isnr35.svg": "e843a495cfecbfe669bceaac4a1244d004a0d22516de09cb3573b30d110bd682",
+            "bound_curve_isnr5.csv": "ecd11550542926c0a25ca26718a41662b861b3a88c85b6057b91e59366ea4c2d",
+            "bound_curve_isnr5.svg": "cee69c28cf006e09756d2c6587ba2624f991b4b665d344aeafeff22fcdc48834",
+        }
+        assert main(["bound-curve", "--out", str(tmp_path)]) == 0
+        written = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()
+        }
+        assert written == digests
 
     def test_single_point_grid(self, tmp_path):
         assert main(["bound-curve", "--isnr", "20", "--bits", "5..5",
@@ -397,7 +420,7 @@ class TestRegimeMapCmd:
         assert main(["sweep", "--config", str(cfg_path), "--budget", "2N",
                      "--out", str(out)]) == 0
         cfg = read_config(cfg_path)
-        points = regime_map(cfg, "2N", run_sweep(cfg))
+        points = regime_map(cfg, 128, run_sweep(cfg))
         with open(out / "regime_map_budget128.csv", newline="") as fh:
             header, *rows = list(csv.reader(fh))
         assert header == [f.name for f in fields(RegimePoint)]
@@ -480,6 +503,14 @@ class TestRegimeMapCmd:
         assert out.is_dir() and not any(out.iterdir())
         assert capsys.readouterr().err == captured.err
 
+# cli.main for a child process, under a 2 GiB address-space limit.
+LIMITED_MAIN = (
+    "import resource, sys; "
+    "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+    "from qcslab.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -491,14 +522,9 @@ def test_huge_bits_range_exits_1_before_it_is_built(argv, tmp_path, child_env):
     # A range of more than MAX_BITS depths is refused from its ends. The
     # child runs under a 2 GiB address-space limit, so a CLI that built
     # the range would fail there (out of memory) rather than exhaust the host.
-    code = (
-        "import resource, sys; "
-        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
-        "from qcslab.cli import main; sys.exit(main(sys.argv[1:]))"
-    )
     out = tmp_path / "out"
     proc = subprocess.run(
-        [sys.executable, "-c", code, *argv, "--out", str(out)],
+        [sys.executable, "-c", LIMITED_MAIN, *argv, "--out", str(out)],
         capture_output=True,
         text=True,
         env=dict(child_env, OPENBLAS_NUM_THREADS="1"),
@@ -508,6 +534,41 @@ def test_huge_bits_range_exits_1_before_it_is_built(argv, tmp_path, child_env):
     assert proc.stderr.startswith("qcslab: error: --bits: ")
     assert proc.stderr.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, charts",
+    [
+        # Adding the tick step to 1e15 rounds back to 1e15.
+        (["sweep", "--preset", "ci", "--trials", "1", "--bits", "2,4", "--budget", "2N",
+          "--isnr", "1e15,1000000000000000.2"], 3),
+        # The padded ISNR axis reaches past the largest float.
+        (["sweep", "--preset", "ci", "--trials", "1", "--bits", "2,4", "--budget", "2N",
+          "--isnr", "1e308,1.79e308"], 3),
+        # Bound values are subnormal or 0: the y span has no tick step.
+        (["bound-curve", "--sigma-x2", "5e-324", "--isnr", "35"], 1),
+    ],
+    ids=["ticks-below-spacing", "axis-past-max-float", "subnormal-span"],
+)
+def test_extreme_finite_values_are_charted(argv, charts, tmp_path, child_env):
+    # In a child with a timeout and a 2 GiB address-space limit, since a
+    # tick loop that never ends would otherwise stall the suite while its
+    # list of ticks grows.
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED_MAIN, *argv, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=dict(child_env, OPENBLAS_NUM_THREADS="1"),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    svgs = sorted(out.glob("*.svg"))
+    assert len(svgs) == charts
+    for svg in svgs:
+        text = svg.read_text()
+        ET.fromstring(text)
+        assert "nan" not in text and "inf" not in text
 
 
 class TestPresetsCmd:

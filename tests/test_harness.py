@@ -2,6 +2,7 @@ import math
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -74,19 +75,19 @@ class TestConfig:
         assert loaded.resolved_budgets() == [192, 100]
 
     def test_missing_field_names_it(self):
-        data = tiny_config().to_dict()
+        data = asdict(tiny_config())
         del data["trials"]
         with pytest.raises(q.ConfigError, match="trials"):
             q.ExperimentConfig.from_dict(data)
 
     def test_unknown_field_rejected(self):
-        data = tiny_config().to_dict()
+        data = asdict(tiny_config())
         data["bogus"] = 1
         with pytest.raises(q.ConfigError, match="bogus"):
             q.ExperimentConfig.from_dict(data)
 
     def test_type_validation(self):
-        data = tiny_config().to_dict()
+        data = asdict(tiny_config())
         data["trials"] = "ten"
         with pytest.raises(q.ConfigError, match="trials"):
             q.ExperimentConfig.from_dict(data)
@@ -558,7 +559,7 @@ class TestRegimeMap:
     def test_runs_end_to_end(self):
         cfg = tiny_config(trials=2)
         table = q.run_sweep(cfg)
-        (point,) = q.regime_map(cfg, "2N", table)
+        (point,) = q.regime_map(cfg, 128, table)
         assert point.best_b in {1, 2, 4}
         assert point.best_algorithm in {"bpdn", "biht_l1", "biht_l2"}
         assert point.regime in {"QC", "MC", "transition"}

@@ -26,21 +26,6 @@ class TestGenSparseSignal:
         with pytest.raises(q.InvalidParameterError):
             q.gen_sparse_signal(1000, k, 1.0, np.random.default_rng(0))
 
-    @pytest.mark.parametrize(
-        "values, support",
-        [
-            (np.zeros((2, 2)), [0]),
-            (np.zeros(4), [[0]]),
-            (np.zeros(4), [1, 1]),
-            (np.zeros(4), [4]),
-            (np.array([0.0, 1.0, 0.0]), [0]),
-        ],
-        ids=["values-2d", "support-2d", "repeated", "out-of-range", "off-support"],
-    )
-    def test_record_rejects_inconsistent_arrays(self, values, support):
-        with pytest.raises(q.InvalidParameterError):
-            q.SparseSignal(values, support)
-
     def test_energy_matches_expectation(self):
         # Monte-Carlo oracle: mean ||x||^2 over many draws approaches k*sigma_x2.
         rng = np.random.default_rng(42)
