@@ -20,7 +20,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional, get_args, get_origin, get_type_hints
+from typing import Callable, Dict, List, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .errors import ConfigError, InvalidParameterError, QcsLabError, check_entri
 from .quantize import check_bit_grid, dynamic_range, sign_quantize, uniform_quantize
 from .reconstruct import (
     BihtVariant,
+    ReconResult,
     biht,
     bpdn,
     oracle_ls,
@@ -46,12 +47,38 @@ from .signal_model import (
     sigma_n_for_isnr,
 )
 
-MULTIBIT_ALGORITHMS = ("oracle_ls", "bpdn")
-ONEBIT_ALGORITHMS = ("biht_l1", "biht_l2")
-ALGORITHMS = MULTIBIT_ALGORITHMS + ONEBIT_ALGORITHMS
-# Decoders told the true support; regime_map ranks them only when nothing
-# else was requested.
-ORACLE_ALGORITHMS = ("oracle_ls",)
+
+@dataclass(frozen=True)
+class Decoder:
+    one_bit: bool  # runs at B = 1 on signs, else at B >= 2
+    oracle: bool  # told the true support; ranked only if nothing else is requested
+    # (phi, y_q, eps = |y - y_q|, k, the support's columns of phi) -> ReconResult
+    solve: Callable[..., ReconResult]
+
+
+# Every decoder a config may request, in the default order. Each solve
+# looks its solver up in this module when it runs, so that a wrapper set
+# on harness.bpdn (or another) is the one called.
+DECODERS = {
+    "oracle_ls": Decoder(
+        False, True, lambda phi, y_q, eps, k, s: ReconResult(oracle_ls(phi, y_q, s), 0, True)
+    ),
+    "bpdn": Decoder(False, False, lambda phi, y_q, eps, k, s: bpdn(phi, y_q, eps)),
+    "biht_l1": Decoder(
+        True, False, lambda phi, y_q, eps, k, s: biht(phi, y_q, k, BihtVariant.ONE_SIDED_L1)
+    ),
+    "biht_l2": Decoder(
+        True, False, lambda phi, y_q, eps, k, s: biht(phi, y_q, k, BihtVariant.ONE_SIDED_L2)
+    ),
+}
+
+# The most trial runs (trials x budgets x bit depths x ISNRs) a config may
+# ask for, 13 times fig4's 75,600. run_sweep lists one task per run before
+# the first starts, and holds every row until the sweep ends: at this cap,
+# on CPython 3.11, about 0.2 GB of tasks and up to four rows of 0.3 kB per
+# run. A sweep of 10**12 trials was killed for memory on an 8 GB host
+# while it built its task list.
+MAX_TRIAL_RUNS = 10**6
 MATRIX_KINDS = ("iid_gaussian", "tight_frame")
 QUANTIZERS = ("uniform",)
 THREADS_ENV_VAR = "QCSLAB_THREADS"
@@ -128,7 +155,7 @@ class ExperimentConfig:
     isnr_list: List[float]
     trials: int
     master_seed: int
-    algorithms: List[str] = field(default_factory=lambda: list(ALGORITHMS))
+    algorithms: List[str] = field(default_factory=lambda: list(DECODERS))
     sigma_x2: float = 1.0
     matrix_kind: str = "iid_gaussian"
     quantizer: str = "uniform"
@@ -140,8 +167,14 @@ class ExperimentConfig:
         check_entries("budgets", self.resolved_budgets())
         check_bit_grid("bit_grid", self.bit_grid, 1)
         check_isnr_list("isnr_list", self.isnr_list, self.n, self.k, self.sigma_x2)
+        tuples = len(self.budgets) * len(self.bit_grid) * len(self.isnr_list)
+        if self.trials * tuples > MAX_TRIAL_RUNS:
+            raise ConfigError(
+                "trials",
+                f"{self.trials} trials of {tuples} tuples exceed {MAX_TRIAL_RUNS} trial runs",
+            )
         for alg in self.algorithms:
-            if alg not in ALGORITHMS:
+            if alg not in DECODERS:
                 raise ConfigError("algorithms", f"unknown algorithm {alg!r}")
         check_entries("algorithms", self.algorithms)
         if self.matrix_kind not in MATRIX_KINDS:
@@ -245,22 +278,18 @@ def _measurements(budget: int, bit_depth: int) -> int:
 
 
 def _applicable_algorithms(algorithms, bit_depth: int) -> List[str]:
-    family = ONEBIT_ALGORITHMS if bit_depth == 1 else MULTIBIT_ALGORITHMS
-    return [a for a in algorithms if a in family]
+    return [a for a in algorithms if DECODERS[a].one_bit == (bit_depth == 1)]
 
 
 def _draws_full_matrix(cfg: ExperimentConfig, bit_depth: int) -> bool:
-    """Whether a trial at bit_depth draws the whole m x n sensing matrix.
-
-    Only a trial where every applicable decoder is an oracle, on an
-    i.i.d. Gaussian matrix, draws less: the k columns of its support.
-    A tight frame is a function of the whole matrix, so it always draws
-    all of it.
-    """
+    """Whether a trial at bit_depth draws the whole m x n sensing matrix:
+    all do but one whose every applicable decoder is an oracle, on an
+    i.i.d. Gaussian matrix, which draws its support's k columns (a tight
+    frame is a function of the whole matrix)."""
     if cfg.matrix_kind != "iid_gaussian":
         return True
     applicable = _applicable_algorithms(cfg.algorithms, bit_depth)
-    return any(a not in ORACLE_ALGORITHMS for a in applicable)
+    return any(not DECODERS[a].oracle for a in applicable)
 
 
 def _skip_reason(cfg: ExperimentConfig, m: int, bit_depth: int) -> Optional[str]:
@@ -289,22 +318,18 @@ def run_trial(
 
     Pipeline: draw x and Phi, measure Phi x, add Phi n for signal noise n
     at the requested ISNR, set the quantizer range from the noiseless
-    measurements, quantize (signs when B = 1), reconstruct.
-    1-bit estimates are rescaled to the true norm before scoring.
-    Phi is drawn into matrix_buffer when one is given (see
-    gen_gaussian_matrix's out); the rows are the same either way.
+    measurements, quantize (signs when B = 1), reconstruct with each
+    decoder's solve (see DECODERS). 1-bit estimates are rescaled to the
+    true norm before scoring.
 
-    A trial whose only applicable decoders are oracles, on an i.i.d.
-    Gaussian matrix, draws only the m x k columns Phi_S of the support S
-    (see _draws_full_matrix), then n and one standard-normal m-vector g,
-    and sets y_clean = Phi_S x_S and
-    y = y_clean + Phi_S n_S + sqrt(|n_{S^c}|^2 / m) g; the oracle solves
-    on Phi_S and its estimate is placed back on S. The other columns
-    reach y only through Phi_{S^c} n_{S^c}, which for N(0, 1/m) entries
-    is N(0, |n_{S^c}|^2 / m I) and independent of Phi_S, x and n_S, so
-    the rows have the law of a full draw but not its values: the oracle
-    rows of a config that also runs bpdn at the tuple differ, while the
-    seed column is derive_seed of the tuple either way.
+    Phi draws the columns of x that _draws_full_matrix selects: all n
+    (into matrix_buffer when one is given; see gen_gaussian_matrix's
+    out), or only the support S's k. In the second case
+    y = Phi_S x_S + Phi_S n_S + sqrt(|n_{S^c}|^2 / m) g for one
+    standard-normal m-vector g: for N(0, 1/m) entries Phi_{S^c} n_{S^c} is
+    N(0, |n_{S^c}|^2 / m I) and independent of the rest, so the rows have
+    the law of a full draw but not its values, while the seed column is
+    derive_seed of the tuple either way.
     """
     m = _measurements(budget, bit_depth)
     seed = derive_seed(
@@ -321,50 +346,34 @@ def run_trial(
     x = gen_sparse_signal(cfg.n, cfg.k, cfg.sigma_x2, rng)
     sigma_n2 = sigma_n_for_isnr(cfg.k, cfg.sigma_x2, cfg.n, isnr)
     full = _draws_full_matrix(cfg, bit_depth)
-    if full:
-        phi = gen_gaussian_matrix(m, cfg.n, rng, out=matrix_buffer)
-        if cfg.matrix_kind == "tight_frame":
-            phi = make_tight_frame(phi)
-        y_clean = measure(phi, x.values)
-    else:
-        phi = gen_gaussian_matrix(m, cfg.k, rng)  # Phi_S, column j for x.support[j]
-        y_clean = measure(phi, x.values[x.support])
+    cols = np.arange(cfg.n) if full else x.support  # the columns of x that Phi draws
+    phi = gen_gaussian_matrix(m, cols.size, rng, out=matrix_buffer if full else None)
+    if cfg.matrix_kind == "tight_frame":
+        phi = make_tight_frame(phi)
+    y_clean = measure(phi, x.values[cols])
     y = y_clean
     if sigma_n2 > 0:
         noise = math.sqrt(sigma_n2) * rng.standard_normal(cfg.n)
-        if full:
-            y = y_clean + measure(phi, noise)
-        else:
-            rest = np.delete(noise, x.support)
-            folded = math.sqrt(rest @ rest / m) * rng.standard_normal(m)
-            y = y_clean + measure(phi, noise[x.support]) + folded
+        y = y_clean + measure(phi, noise[cols])
+        if not full:
+            rest = np.delete(noise, cols)
+            y = y + math.sqrt(rest @ rest / m) * rng.standard_normal(m)
 
     one_bit = bit_depth == 1
     if one_bit:
         y_q = sign_quantize(y)
     else:
         y_q = uniform_quantize(y, dynamic_range(y_clean), bit_depth)
+    eps = float(np.linalg.norm(y - y_q))
+    support_cols = np.searchsorted(cols, x.support)  # x.support is sorted
 
-    def _oracle():
-        if full:
-            return oracle_ls(phi, y_q, x.support)
-        x_hat = np.zeros(cfg.n)
-        x_hat[x.support] = oracle_ls(phi, y_q, np.arange(cfg.k))
-        return x_hat
-
-    solvers = {
-        "oracle_ls": _oracle,
-        "bpdn": lambda: bpdn(phi, y_q, float(np.linalg.norm(y - y_q))),
-        "biht_l1": lambda: biht(phi, y_q, cfg.k, BihtVariant.ONE_SIDED_L1),
-        "biht_l2": lambda: biht(phi, y_q, cfg.k, BihtVariant.ONE_SIDED_L2),
-    }
     rows: List[TrialResult] = []
     for alg in _applicable_algorithms(cfg.algorithms, bit_depth):
         t0 = time.perf_counter()
-        res = solvers[alg]()
+        res = DECODERS[alg].solve(phi, y_q, eps, cfg.k, support_cols)
         elapsed = time.perf_counter() - t0
-        # oracle_ls returns the bare estimate, the iterative solvers a ReconResult.
-        estimate = getattr(res, "estimate", res)
+        estimate = np.zeros(cfg.n)
+        estimate[cols] = res.estimate
         rows.append(
             TrialResult(
                 n=cfg.n,
@@ -377,7 +386,7 @@ def run_trial(
                 trial=trial_index,
                 rsnr_db=rsnr_db(x.values, estimate, rescale_1bit=one_bit),
                 recon_mse=squared_error(x.values, estimate, rescale_1bit=one_bit),
-                hamming=getattr(res, "consistency_hamming", None),
+                hamming=res.consistency_hamming,
                 wall_time_ms=elapsed * 1e3 if record_timing else 0.0,
                 seed=seed,
             )
@@ -454,10 +463,7 @@ def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable
     Tuples that cannot be executed (m < 1, m < k, m > n for a tight
     frame, or no applicable algorithm) are skipped with a recorded
     reason; a failing trial is recorded and does not abort the sweep.
-    A trial whose only applicable decoders are oracles, on an i.i.d.
-    Gaussian matrix, draws only its support's m x k columns (see
-    run_trial); every other trial, and every tight-frame trial, draws
-    the full m x n matrix. A sweep with no full draw, or with
+    A sweep with no full m x n draw (see _draws_full_matrix), or with
     n <= _SERIAL_MAX_N, runs every trial in the calling thread; any
     other runs its trials on a thread pool of min(QCSLAB_THREADS, trial
     count) workers, where QCSLAB_THREADS defaults to the CPU count and is
@@ -551,13 +557,13 @@ def regime_map(cfg: ExperimentConfig, budget: int, table: ResultTable) -> List[R
     budget is a number of bits, one of cfg.resolved_budgets(). Ranks the
     aggregates that run_sweep(cfg) put in table at that budget;
     it runs no trial. The aggregate with the highest mean RSNR wins among
-    the requested practical decoders (cfg.algorithms less
-    ORACLE_ALGORITHMS, or the oracles when nothing else was requested),
+    the requested practical decoders (cfg.algorithms less the oracles of
+    DECODERS, or the oracles when nothing else was requested),
     and best_algorithm names its decoder; ties between bit depths resolve
     to the smaller B. Low optimal bit depths classify as the QC regime,
     high ones as MC. An ISNR with no ranked aggregate gets no point.
     """
-    ranked = [a for a in cfg.algorithms if a not in ORACLE_ALGORITHMS] or cfg.algorithms
+    ranked = [a for a in cfg.algorithms if not DECODERS[a].oracle] or cfg.algorithms
     points = []
     for isnr in cfg.isnr_list:
         candidates = [

@@ -62,19 +62,33 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _fmt_tick(v: float) -> str:
+def _fmt_tick(v: float, extra: int = 0) -> str:
+    """v to 3 significant digits in e-notation, or to 6 between 1e-3 and
+    1e5, plus extra digits."""
     if v == 0:
         return "0"
     if abs(v) >= 1e5 or abs(v) < 1e-3:
-        return f"{v:.2e}"
-    return f"{v:.6g}"
+        return f"{v:.{2 + extra}e}"
+    return f"{v:.{6 + extra}g}"
+
+
+def _tick_labels(ticks):
+    """_fmt_tick of each of the distinct ticks, with the fewest extra
+    digits that give them distinct labels (17 significant digits tell any
+    two floats apart)."""
+    extra = 0
+    labels = [_fmt_tick(t) for t in ticks]
+    while len(set(labels)) < len(labels):
+        extra += 1
+        labels = [_fmt_tick(t, extra) for t in ticks]
+    return labels
 
 
 def _nice_ticks(lo: float, hi: float):
-    """Multiples of a 1-2-5 step of about (hi - lo) / _TICKS in [lo, hi],
-    each i * step for an integer i taken from a range, so the count is
-    bounded even where adding the step would not move a tick. A range whose
-    step would be subnormal, or that is empty, gets no ticks."""
+    """The distinct multiples of a 1-2-5 step of about (hi - lo) / _TICKS
+    in [lo, hi], each i * step for an integer i taken from a range, so the
+    count is bounded even where adding the step would not move a tick. A
+    range whose step would be subnormal, or that is empty, gets no ticks."""
     raw = (hi - lo) / _TICKS
     if raw < sys.float_info.min:
         return []
@@ -85,7 +99,9 @@ def _nice_ticks(lo: float, hi: float):
             break
     slack = 1e-9 * (hi / step - lo / step)
     first, last = math.ceil(lo / step), math.floor(hi / step + slack)
-    return [i * step for i in range(first, last + 1)]
+    # i * step never decreases with i; where floats are sparser than the
+    # step, neighbours round to one value, kept once.
+    return list(dict.fromkeys(i * step for i in range(first, last + 1)))
 
 
 def _data_range(values):
@@ -146,7 +162,8 @@ def render_svg(
         f'font-size="18" font-family="Helvetica">{_escape(title)}</text>'
     )
 
-    for tick in _nice_ticks(y_lo, y_hi):
+    y_ticks = _nice_ticks(y_lo, y_hi)
+    for tick, label in zip(y_ticks, _tick_labels(y_ticks)):
         py = y_px(tick)
         out.append(
             f'<line x1="{plot_l}" y1="{_fmt(py)}" x2="{plot_r}" y2="{_fmt(py)}" '
@@ -154,9 +171,10 @@ def render_svg(
         )
         out.append(
             f'<text x="{plot_l - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
-            f'font-size="12" font-family="Helvetica">{_fmt_tick(tick)}</text>'
+            f'font-size="12" font-family="Helvetica">{label}</text>'
         )
-    for tick in _nice_ticks(x_lo, x_hi):
+    x_ticks = _nice_ticks(x_lo, x_hi)
+    for tick, label in zip(x_ticks, _tick_labels(x_ticks)):
         px = x_px(tick)
         out.append(
             f'<line x1="{_fmt(px)}" y1="{plot_b}" x2="{_fmt(px)}" y2="{plot_b + 5}" '
@@ -164,7 +182,7 @@ def render_svg(
         )
         out.append(
             f'<text x="{_fmt(px)}" y="{plot_b + 22}" text-anchor="middle" '
-            f'font-size="12" font-family="Helvetica">{_fmt_tick(tick)}</text>'
+            f'font-size="12" font-family="Helvetica">{label}</text>'
         )
 
     out.append(

@@ -379,6 +379,42 @@ class TestSweepCmd:
         assert {r["algorithm"] for r in rows} == {"oracle_ls", "bpdn"}
         assert all(r["n"] == "256" for r in rows)
 
+    def test_output_bytes_pinned(self, tmp_path, capsys):
+        """The CSVs of two tiny sweeps, pinned by SHA-256 digest.
+
+        Between them they reach all four decoders, B = 1 and B >= 2, the
+        oracle-only trial's support-column draw (the first, at B = 2 and 4)
+        and a tight frame (the second). A refactor that moves any byte
+        fails here, where run-to-run agreement would still pass. The
+        digests hold for this numpy and OpenBLAS; a change that moves
+        bytes on purpose records new digests and says so in CHANGES.md.
+        """
+        configs = {
+            "iid": dict(n=64, k=2, budgets=["2N"], bit_grid=[1, 2, 4], isnr_list=[20.0, 5.0],
+                        trials=2, master_seed=17,
+                        algorithms=["oracle_ls", "biht_l1", "biht_l2"]),
+            "tight": dict(n=32, k=2, budgets=["1N"], bit_grid=[1, 4], isnr_list=[20.0],
+                          trials=2, master_seed=17, matrix_kind="tight_frame"),
+        }
+        digests = {
+            "iid/aggregates.csv": "3094beb347238c90511875b96376ee29c07a60995cc10f0db26febb0af4b486f",
+            "iid/regime_map_budget128.csv": "78f59e3b4f2ccf9bf4c2675b1b39752131765a581e7318f5e19e179de6233eee",
+            "iid/results.csv": "66c3933c99a1d9a8679afc56f089f43e07bf776a62a7ba5b2450dc6aa72ff956",
+            "tight/aggregates.csv": "936b130c42e44c4d26a2122dadade8fc80dd28c5942b6364d0255be08f79d8f1",
+            "tight/regime_map_budget32.csv": "5b7d302f5ec9fa760bfcd67ea6daccc74afe36565d3b29c1b33032bc64f82948",
+            "tight/results.csv": "9b1ac0145590757aa04424c1781f4e95ce6bc4300875970d18eb77665903b808",
+        }
+        written = {}
+        for name, cfg in configs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            assert main(["sweep", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+            for csv_path in (tmp_path / name).glob("*.csv"):
+                written[f"{name}/{csv_path.name}"] = hashlib.sha256(
+                    csv_path.read_bytes()
+                ).hexdigest()
+        assert written == digests
+
     def test_config_json_reruns_the_sweep(self, tmp_path):
         # The sweep leaves its config with the preset's overrides applied;
         # `sweep --config` on it writes every file again, byte for byte.
@@ -536,6 +572,24 @@ def test_huge_bits_range_exits_1_before_it_is_built(argv, tmp_path, child_env):
     assert not out.exists()
 
 
+def test_huge_trial_count_exits_1_before_any_task_is_built(tmp_path, child_env):
+    # Under the same 2 GiB limit: a sweep that listed its 3.6e13 trial
+    # runs would fail there for memory instead of refusing the count.
+    out = tmp_path / "out"
+    argv = ["sweep", "--preset", "ci", "--trials", "1000000000000", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED_MAIN, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(child_env, OPENBLAS_NUM_THREADS="1"),
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("qcslab: config error: trials: ")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, charts",
     [
@@ -583,6 +637,13 @@ class TestPresetsCmd:
         accepted = next(a.choices for a in sweep._actions if a.dest == "preset")
         assert sorted(listed) == sorted(accepted)
         assert set(listed) == {"fig2", "fig3", "fig4", "ci", "k60"}
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "ci", "k60"])
+    def test_every_preset_loads_at_its_own_size(self, name):
+        # sweep_preset builds the config, so a cap below its trial runs raises.
+        cfg = sweep_preset(name)
+        tuples = len(cfg.budgets) * len(cfg.bit_grid) * len(cfg.isnr_list)
+        assert cfg.trials * tuples <= harness.MAX_TRIAL_RUNS
 
     def test_k60_is_fig3_with_denser_signals(self):
         k60, fig3 = sweep_preset("k60"), sweep_preset("fig3")

@@ -92,6 +92,13 @@ class TestConfig:
         with pytest.raises(q.ConfigError, match="trials"):
             q.ExperimentConfig.from_dict(data)
 
+    def test_trial_runs_capped(self):
+        # 2 budgets x 2 bit depths x 1 ISNR: 4 tuples.
+        cap = q.harness.MAX_TRIAL_RUNS
+        tiny_config(budgets=["2N", "4N"], bit_grid=[2, 4], trials=cap // 4)
+        with pytest.raises(q.ConfigError, match="^trials: "):
+            tiny_config(budgets=["2N", "4N"], bit_grid=[2, 4], trials=cap // 4 + 1)
+
     def test_domain_validation(self):
         with pytest.raises(q.ConfigError, match="k"):
             tiny_config(k=100)
@@ -453,7 +460,7 @@ _trial_results = st.builds(
     bit_depth=st.integers(1, 32),
     m=st.integers(1, 10**7),
     isnr_db=_finite_or_inf,
-    algorithm=st.sampled_from(q.harness.ALGORITHMS),
+    algorithm=st.sampled_from(list(q.harness.DECODERS)),
     trial=st.integers(0, 10**4),
     rsnr_db=_finite_or_inf,
     recon_mse=st.floats(min_value=0.0, allow_nan=False),
