@@ -1,12 +1,12 @@
-"""Command-line surface: bound curves, sweeps with their regime maps, presets.
+"""Command-line surface: bound curves, sweeps with their regime map, presets.
 
 Every command is a pure function of its flags, config file, and seed:
 running the same invocation twice produces byte-identical CSV and SVG
 outputs (wall-clock timing is opt-in via --timing for that reason).
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure,
-3 partial failure (some tuples skipped or failed, or a sweep budget left
-without a regime map).
+3 partial failure (some tuples skipped or failed, or a sweep budget with
+no point in the regime map).
 
 A bad value exits 1 with one stderr line: `qcslab: error: --<flag>: ...`
 for a flag (bound-curve names the ConfigError's field as its flag), and
@@ -141,7 +141,7 @@ def _build_parser() -> _Parser:
     pb.set_defaults(run=_cmd_bound_curve)
 
     ps = sub.add_parser(
-        "sweep", help="Monte-Carlo sweep over (budget, B, ISNR), one regime map per budget"
+        "sweep", help="Monte-Carlo sweep over (budget, B, ISNR), with its regime map"
     )
     ps.add_argument("--config", default=None, help="JSON config path")
     ps.add_argument("--preset", choices=sorted(presets.preset_descriptions()))
@@ -283,12 +283,13 @@ def _sweep_svgs(cfg: ExperimentConfig, table: ResultTable, out: Path) -> None:
 def _cmd_sweep(args) -> int:
     """Run the sweep of the config, preset and flags, print its skip
     reasons, write config.json (the config, which `sweep --config` re-runs),
-    results.csv, aggregates.csv, the RSNR charts and one regime map (best B
-    per ISNR) per budget to --out, and return the exit code.
+    results.csv, aggregates.csv, the RSNR charts and the regime map (best B
+    per budget and ISNR, regime_map.csv and .svg) to --out, and return the
+    exit code.
 
     A sweep that executes no tuple writes nothing and raises QcsLabError.
-    A budget whose map has no point is named and gets no file; it, like a
-    skipped or failed tuple, makes the exit code 3.
+    A budget with no regime point is named; it, like a skipped or failed
+    tuple, makes the exit code 3. With no point at all, no map is written.
     """
     cfg = _load_sweep_config(args)
     with _claim_out(args) as out:
@@ -301,33 +302,34 @@ def _cmd_sweep(args) -> int:
         write_aggregates(table, out / "aggregates.csv")
         _sweep_svgs(cfg, table, out)
         print(f"{len(table.rows)} result rows, {len(table.aggregates)} aggregates -> {out}")
-        unmapped = []
-        for budget in cfg.resolved_budgets():
-            points = regime_map(cfg, budget, table)
-            if not points:
-                unmapped.append(budget)
-                print(f"budget {budget}: no regime map: none of the decoders it ranks ran")
-                continue
-            (out / f"regime_map_budget{budget}.csv").write_text(
-                to_csv(points, RegimePoint), encoding="utf-8"
-            )
-            print(f"budget {budget}: {len(points)} regime points -> {out}")
-            charted = [p for p in points if math.isfinite(p.isnr_db)]  # inf: CSV only
-            if not charted:
-                print(f"budget {budget}: no regime chart: no finite ISNR to plot")
-                continue
+        points = regime_map(cfg, table)
+        unmapped = [b for b in cfg.resolved_budgets() if all(p.budget != b for p in points)]
+        for budget in unmapped:
+            print(f"budget {budget}: no regime map: none of the decoders it ranks ran")
+        if not points:
+            return EXIT_PARTIAL
+        (out / "regime_map.csv").write_text(to_csv(points, RegimePoint), encoding="utf-8")
+        print(f"{len(points)} regime points -> {out}")
+        charted = {}  # one series per budget; inf: CSV only
+        for p in points:
+            if math.isfinite(p.isnr_db):
+                charted.setdefault(p.budget, []).append(p)
+        if not charted:
+            print("no regime chart: no finite ISNR to plot")
+        else:
             render_svg(
-                out / f"regime_map_budget{budget}.svg",
+                out / "regime_map.svg",
                 [
                     Series(
-                        label="bit depth B",
-                        x=[p.isnr_db for p in charted],
-                        y=[float(p.best_b) for p in charted],
+                        label=f"{budget} bits",
+                        x=[p.isnr_db for p in ps],
+                        y=[float(p.best_b) for p in ps],
                     )
+                    for budget, ps in charted.items()
                 ],
                 x_label="ISNR (dB)",
                 y_label="best bit depth B",
-                title=f"Best bit depth vs ISNR at budget {budget}",
+                title="Best bit depth vs ISNR per bit budget",
             )
         return EXIT_PARTIAL if table.skips or unmapped else EXIT_OK
 

@@ -79,6 +79,15 @@ DECODERS = {
 # run. A sweep of 10**12 trials was killed for memory on an 8 GB host
 # while it built its task list.
 MAX_TRIAL_RUNS = 10**6
+# The signal energies k * sigma_x2 that a sweep accepts. A trial's squared
+# norms (of x, of its measurements and of their errors: RSNR, BPDN's eps^2
+# and residuals) scale with k * sigma_x2 and must stay normal floats. Near
+# the ends of the float range they do not: at k * sigma_x2 = 1.5e308 a
+# sweep wrote nan rows and false 300 dB RSNRs, and bpdn on a problem with
+# amplitudes scaled by 1e154 overflowed, and by 1e-160 ended unconverged.
+# Scaled by 1e-77 to 1e77 (energies 1e-154 to 1e154) its estimate scaled
+# with the problem to within 4e-16; this range keeps 1e54 from either end.
+SIGNAL_ENERGY_RANGE = (1e-100, 1e100)
 MATRIX_KINDS = ("iid_gaussian", "tight_frame")
 QUANTIZERS = ("uniform",)
 THREADS_ENV_VAR = "QCSLAB_THREADS"
@@ -162,6 +171,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_signal(self.n, self.k, self.sigma_x2)
+        lo, hi = SIGNAL_ENERGY_RANGE
+        if not lo <= self.k * self.sigma_x2 <= hi:
+            raise ConfigError(
+                "sigma_x2",
+                f"k * sigma_x2 must lie in [{lo:g}, {hi:g}], "
+                f"got sigma_x2 = {self.sigma_x2!r} at k = {self.k}",
+            )
         if self.trials < 1:
             raise ConfigError("trials", "must be >= 1")
         check_entries("budgets", self.resolved_budgets())
@@ -533,8 +549,9 @@ def run_sweep(cfg: ExperimentConfig, record_timing: bool = False) -> ResultTable
 
 @dataclass(frozen=True)
 class RegimePoint:
-    """Best (M, B) choice at one ISNR for a fixed bit budget."""
+    """Best (M, B) choice at one ISNR for one bit budget."""
 
+    budget: int
     isnr_db: float
     best_b: int
     best_m: int
@@ -551,42 +568,37 @@ def classify_regime(best_b: int) -> str:
     return "transition"
 
 
-def regime_map(cfg: ExperimentConfig, budget: int, table: ResultTable) -> List[RegimePoint]:
-    """Pick the RSNR-maximizing (M, B) pair per ISNR at a fixed budget.
+def regime_map(cfg: ExperimentConfig, table: ResultTable) -> List[RegimePoint]:
+    """Pick the RSNR-maximizing (M, B) pair per (budget, ISNR), budget-major
+    in cfg.resolved_budgets() order, then in cfg.isnr_list order.
 
-    budget is a number of bits, one of cfg.resolved_budgets(). Ranks the
-    aggregates that run_sweep(cfg) put in table at that budget;
-    it runs no trial. The aggregate with the highest mean RSNR wins among
-    the requested practical decoders (cfg.algorithms less the oracles of
-    DECODERS, or the oracles when nothing else was requested),
-    and best_algorithm names its decoder; ties between bit depths resolve
-    to the smaller B. Low optimal bit depths classify as the QC regime,
-    high ones as MC. An ISNR with no ranked aggregate gets no point.
+    Ranks the aggregates that run_sweep(cfg) put in table; it runs no
+    trial. The aggregate with the highest mean RSNR wins among the
+    requested practical decoders (cfg.algorithms less the oracles of
+    DECODERS, or the oracles when nothing else was requested), and
+    best_algorithm names its decoder; ties between bit depths resolve to
+    the smaller B. Low optimal bit depths classify as the QC regime, high
+    ones as MC. A (budget, ISNR) with no ranked aggregate gets no point.
     """
     ranked = [a for a in cfg.algorithms if not DECODERS[a].oracle] or cfg.algorithms
+    pool = [agg for agg in table.aggregates if agg.algorithm in ranked]
     points = []
-    for isnr in cfg.isnr_list:
-        candidates = [
-            agg
-            for agg in table.aggregates
-            if agg.budget == budget
-            and agg.algorithm in ranked
-            and agg.bit_depth in cfg.bit_grid
-            and agg.isnr_db == float(isnr)
-        ]
-        if not candidates:
-            continue
-        best = max(candidates, key=lambda agg: (agg.rsnr_mean, -agg.bit_depth))
-        points.append(
-            RegimePoint(
-                isnr_db=float(isnr),
-                best_b=best.bit_depth,
-                best_m=best.m,
-                best_rsnr=best.rsnr_mean,
-                best_algorithm=best.algorithm,
-                regime=classify_regime(best.bit_depth),
-            )
-        )
+    for budget in cfg.resolved_budgets():
+        for isnr in map(float, cfg.isnr_list):
+            candidates = [agg for agg in pool if (agg.budget, agg.isnr_db) == (budget, isnr)]
+            if candidates:
+                best = max(candidates, key=lambda agg: (agg.rsnr_mean, -agg.bit_depth))
+                points.append(
+                    RegimePoint(
+                        budget=budget,
+                        isnr_db=isnr,
+                        best_b=best.bit_depth,
+                        best_m=best.m,
+                        best_rsnr=best.rsnr_mean,
+                        best_algorithm=best.algorithm,
+                        regime=classify_regime(best.bit_depth),
+                    )
+                )
     return points
 
 
@@ -638,7 +650,7 @@ def read_results(path) -> List[TrialResult]:
         reader = csv.reader(fh)
         header = next(reader, [])
         if header != RESULT_COLUMNS:
-            raise InvalidParameterError(f"unexpected results header: {header}")
+            raise InvalidParameterError(f"{path}: unexpected results header: {header}")
         for rec in reader:
             where = f"{path}: line {reader.line_num}"
             if len(rec) != len(RESULT_COLUMNS):

@@ -552,9 +552,15 @@ def rsnr_db(x_true: np.ndarray, x_hat: np.ndarray, rescale_1bit: bool = False) -
     """Reconstruction SNR 10 log10(|x|^2 / |x - x_hat|^2) in dB.
 
     The error is squared_error's, rescaled for 1-bit estimates. Exact
-    recovery is capped at 300 dB.
+    recovery is capped at 300 dB. Both vectors are first scaled by the
+    power of two that brings max|x| into [0.5, 1): that is exact in
+    binary and leaves the ratio's bits as they are, but keeps |x|^2 from
+    overflowing or underflowing at any scale of x.
     """
-    err = squared_error(x_true, x_hat, rescale_1bit)
+    x_true = np.asarray(x_true, dtype=float)
+    _, exp = np.frexp(np.max(np.abs(x_true), initial=0.0))
+    x_true = np.ldexp(x_true, -exp)
+    err = squared_error(x_true, np.ldexp(np.asarray(x_hat, dtype=float), -exp), rescale_1bit)
     nt = float(np.linalg.norm(x_true))
     if nt == 0.0:
         raise InvalidParameterError("x_true must be nonzero")

@@ -331,6 +331,14 @@ class TestSweepCmd:
             dict(sigma_x2=math.inf, isnr_list=[math.inf]),
             # k * sigma_x2 overflows, which no ISNR's noise variance survives.
             dict(sigma_x2=1e308),
+            # Finite, but a trial's squared norms overflowed: nan rows,
+            # false 300 dB RSNRs, then a crash in the chart.
+            dict(n=64, k=10, budgets=["4N"], bit_grid=[1, 4], isnr_list=[20, 5],
+                 trials=2, master_seed=3, sigma_x2=1.5e307),
+            # Rows read 300 dB at a recon_mse of 1e305.
+            dict(n=1000, k=10, budgets=["2N"], bit_grid=[1, 4], isnr_list=[20],
+                 trials=3, master_seed=3, sigma_x2=1.5e307),
+            dict(sigma_x2=1e-160),
         ],
     )
     def test_non_finite_sigma_x2_exits_1_naming_it(self, overrides, tmp_path, capsys):
@@ -398,10 +406,10 @@ class TestSweepCmd:
         }
         digests = {
             "iid/aggregates.csv": "3094beb347238c90511875b96376ee29c07a60995cc10f0db26febb0af4b486f",
-            "iid/regime_map_budget128.csv": "78f59e3b4f2ccf9bf4c2675b1b39752131765a581e7318f5e19e179de6233eee",
+            "iid/regime_map.csv": "a0180b36e9e3f4d437cc91ebe67819fa8a61f6a05ceac8e99abc4e8389408e89",
             "iid/results.csv": "66c3933c99a1d9a8679afc56f089f43e07bf776a62a7ba5b2450dc6aa72ff956",
             "tight/aggregates.csv": "936b130c42e44c4d26a2122dadade8fc80dd28c5942b6364d0255be08f79d8f1",
-            "tight/regime_map_budget32.csv": "5b7d302f5ec9fa760bfcd67ea6daccc74afe36565d3b29c1b33032bc64f82948",
+            "tight/regime_map.csv": "f23e26c825360e841732ed117b97cede2e0b679a993bc2d66924e5494a071cc6",
             "tight/results.csv": "9b1ac0145590757aa04424c1781f4e95ce6bc4300875970d18eb77665903b808",
         }
         written = {}
@@ -434,30 +442,32 @@ class TestSweepCmd:
 
 
 class TestRegimeMapCmd:
-    """The regime maps that sweep writes, one per budget."""
+    """The one regime table that sweep writes, with a row per (budget, ISNR)."""
 
     def test_single_isnr_single_row(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--budget", "2N",
                      "--out", str(out)]) == 0
-        rows = read_csv(out / "regime_map_budget128.csv")
+        rows = read_csv(out / "regime_map.csv")
         assert len(rows) == 1
+        assert rows[0]["budget"] == "128"
         assert rows[0]["regime"] in {"QC", "MC", "transition"}
         assert rows[0]["best_algorithm"] in {"bpdn", "biht_l1", "biht_l2"}
-        assert (out / "regime_map_budget128.svg").exists()
+        assert (out / "regime_map.svg").exists()
+        assert not list(out.glob("regime_map_budget*"))
         # The sweep it ranks is saved too.
         assert len(read_csv(out / "results.csv")) == 2 * 2 * 3
         assert len(read_csv(out / "aggregates.csv")) == 6
 
     def test_csv_rows_are_regime_points(self, tmp_path):
-        cfg_path = write_tiny_config(tmp_path / "cfg.json", isnr_list=[5.0, 20.0])
+        cfg_path = write_tiny_config(tmp_path / "cfg.json", isnr_list=[5.0, 20.0],
+                                     budgets=["1N", "2N"])
         out = tmp_path / "out"
-        assert main(["sweep", "--config", str(cfg_path), "--budget", "2N",
-                     "--out", str(out)]) == 0
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
         cfg = read_config(cfg_path)
-        points = regime_map(cfg, 128, run_sweep(cfg))
-        with open(out / "regime_map_budget128.csv", newline="") as fh:
+        points = regime_map(cfg, run_sweep(cfg))
+        with open(out / "regime_map.csv", newline="") as fh:
             header, *rows = list(csv.reader(fh))
         assert header == [f.name for f in fields(RegimePoint)]
         # Floats are written with repr, so they read back exactly.
@@ -465,48 +475,60 @@ class TestRegimeMapCmd:
         assert [
             RegimePoint(*(hints[c](cell) for c, cell in zip(header, row))) for row in rows
         ] == points
+        # Budget-major, then in the config's ISNR order.
+        assert [(p.budget, p.isnr_db) for p in points] == [
+            (64, 5.0), (64, 20.0), (128, 5.0), (128, 20.0)
+        ]
 
     def test_no_budget_maps_every_config_budget(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json", budgets=["1N", "2N"])
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        for budget in (64, 128):
-            assert len(read_csv(out / f"regime_map_budget{budget}.csv")) == 1
-            assert (out / f"regime_map_budget{budget}.svg").exists()
+        assert [r["budget"] for r in read_csv(out / "regime_map.csv")] == ["64", "128"]
+        # One chart, one series per budget, labelled by its bits.
+        svg = ET.fromstring((out / "regime_map.svg").read_text())
+        labels = [t.text for t in svg.findall(".//{*}text")]
+        assert "64 bits" in labels and "128 bits" in labels
 
     def test_budget_list_maps_each_budget(self, tmp_path):
-        # One sweep over the list; each budget's map is the one a run at
-        # that budget alone writes.
+        # One sweep over the list; each budget's lines in its table are the
+        # table that a run at that budget alone writes.
         cfg = write_tiny_config(tmp_path / "cfg.json", isnr_list=[5.0, 20.0])
         both = tmp_path / "both"
         assert main(["sweep", "--config", str(cfg), "--budget", "1N,2N",
                      "--out", str(both)]) == 0
+        header, *lines = (both / "regime_map.csv").read_text().splitlines()
         for flag, budget in (("1N", 64), ("2N", 128)):
             alone = tmp_path / flag
             assert main(["sweep", "--config", str(cfg), "--budget", flag,
                          "--out", str(alone)]) == 0
-            for suffix in ("csv", "svg"):
-                name = f"regime_map_budget{budget}.{suffix}"
-                assert (both / name).read_bytes() == (alone / name).read_bytes()
+            alone_lines = (alone / "regime_map.csv").read_text().splitlines()
+            assert alone_lines == [header] + [
+                line for line in lines if line.startswith(f"{budget},")
+            ]
+            assert len(alone_lines) == 3
 
     def test_infinite_isnr_stays_in_the_csv_off_the_chart(self, tmp_path, capsys):
         # An ISNR of inf (no noise) is in the domain, but no axis can show it.
         cfg = write_tiny_config(tmp_path / "cfg.json")
         out = tmp_path / "out"
-        argv = ["sweep", "--config", str(cfg), "--budget", "2N", "--bits", "2,4"]
-        assert main([*argv, "--isnr", "10,inf", "--out", str(out)]) == 0
-        rows = read_csv(out / "regime_map_budget128.csv")
-        assert [r["isnr_db"] for r in rows] == ["10.0", "inf"]
-        assert (out / "regime_map_budget128.svg").exists()
+        argv = ["sweep", "--config", str(cfg), "--bits", "2,4"]
+        assert main([*argv, "--budget", "1N,2N", "--isnr", "10,inf",
+                     "--out", str(out)]) == 0
+        rows = read_csv(out / "regime_map.csv")
+        assert [(r["budget"], r["isnr_db"]) for r in rows] == [
+            ("64", "10.0"), ("64", "inf"), ("128", "10.0"), ("128", "inf")
+        ]
+        assert (out / "regime_map.svg").exists()
         capsys.readouterr()
         only_inf = tmp_path / "only_inf"
-        assert main([*argv, "--isnr", "inf", "--out", str(only_inf)]) == 0
-        assert [r["isnr_db"] for r in read_csv(only_inf / "regime_map_budget128.csv")] == [
-            "inf"
-        ]
-        assert not (only_inf / "regime_map_budget128.svg").exists()
+        assert main([*argv, "--budget", "1N,2N", "--isnr", "inf",
+                     "--out", str(only_inf)]) == 0
+        assert [r["isnr_db"] for r in read_csv(only_inf / "regime_map.csv")] == ["inf"] * 2
+        assert not (only_inf / "regime_map.svg").exists()
         captured = capsys.readouterr()
-        assert "budget 128: no regime chart: no finite ISNR to plot\n" in captured.out
+        assert captured.out.count("no regime chart") == 1
+        assert "\nno regime chart: no finite ISNR to plot\n" in captured.out
         assert captured.err == ""
 
     def test_empty_map_exits_3_writing_no_map(self, tmp_path, capsys):
@@ -516,13 +538,29 @@ class TestRegimeMapCmd:
             tmp_path / "cfg.json", algorithms=["oracle_ls", "biht_l1"], bit_grid=[2, 4]
         )
         out = tmp_path / "out"
-        assert main(["sweep", "--config", str(cfg), "--budget", "2N",
+        assert main(["sweep", "--config", str(cfg), "--budget", "1N,2N",
                      "--out", str(out)]) == 3
         printed = capsys.readouterr().out.splitlines()
-        assert printed[-1] == "budget 128: no regime map: none of the decoders it ranks ran"
-        assert not list(out.glob("regime_map_*"))
+        assert printed[-2:] == [
+            f"budget {b}: no regime map: none of the decoders it ranks ran" for b in (64, 128)
+        ]
+        assert not list(out.glob("regime_map*"))
         assert (out / "results.csv").exists()
 
+    def test_unmapped_budget_is_named_beside_the_table(self, tmp_path, capsys):
+        # A tight frame needs m <= n = 64: at 8N biht_l1's m = 512 is
+        # skipped and only the oracle, which does not compete, runs.
+        cfg = write_tiny_config(
+            tmp_path / "cfg.json", algorithms=["oracle_ls", "biht_l1"], bit_grid=[1, 8],
+            matrix_kind="tight_frame", budgets=["1N", "8N"],
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
+        printed = capsys.readouterr().out.splitlines()
+        assert "budget 512: no regime map: none of the decoders it ranks ran" in printed
+        assert not any(line.startswith("budget 64:") for line in printed)
+        assert [r["budget"] for r in read_csv(out / "regime_map.csv")] == ["64"]
+        assert (out / "regime_map.svg").exists()
 
     def test_no_tuple_exits_2_writing_nothing(self, tmp_path, capsys):
         # At a --budget of 7 bits, m = 7, 3 and 1 < k = 8: no map, no file.

@@ -123,6 +123,13 @@ class TestConfig:
         for isnr in (math.nan, -math.inf):
             with pytest.raises(q.ConfigError, match="isnr_list"):
                 tiny_config(isnr_list=[isnr])
+        # k * sigma_x2 (k = 2) must keep a trial's squared norms normal floats.
+        lo, hi = q.harness.SIGNAL_ENERGY_RANGE
+        tiny_config(sigma_x2=lo / 2)
+        tiny_config(sigma_x2=hi / 2)
+        for sigma_x2 in (lo / 4, hi, 1.5e307, 1e-160, 5e-324):
+            with pytest.raises(q.ConfigError, match="^sigma_x2: k \\* sigma_x2 must lie in"):
+                tiny_config(sigma_x2=sigma_x2)
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -444,6 +451,16 @@ class TestCsvIo:
         with pytest.raises(q.InvalidParameterError, match="line 4: cannot parse n 'sixty-four'"):
             q.read_results(path)
 
+    def test_bad_header_rejected_naming_the_file(self, tmp_path):
+        wrong = tmp_path / "wrong.csv"
+        wrong.write_text("n,k\n1,2\n", encoding="utf-8")
+        empty = tmp_path / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        for path, header in ((wrong, "['n', 'k']"), (empty, "[]")):
+            with pytest.raises(q.InvalidParameterError) as info:
+                q.read_results(path)
+            assert str(info.value) == f"{path}: unexpected results header: {header}"
+
     def test_hamming_blank_for_multibit(self, tmp_path):
         table = q.run_sweep(tiny_config(algorithms=["oracle_ls"], bit_grid=[4]))
         q.write_results(table, tmp_path / "r.csv")
@@ -492,17 +509,17 @@ def test_results_csv_round_trip(rows):
 
 
 class TestRegimeMap:
-    def _agg(self, bit_depth, rsnr, algorithm="bpdn", budget=128):
+    def _agg(self, bit_depth, rsnr, algorithm="bpdn", budget=128, isnr=10.0):
         return q.harness.AggregateRow(
             n=64, k=2, budget=budget, bit_depth=bit_depth, m=budget // bit_depth,
-            isnr_db=10.0, algorithm=algorithm, trials=3, rsnr_mean=rsnr,
+            isnr_db=isnr, algorithm=algorithm, trials=3, rsnr_mean=rsnr,
             rsnr_median=rsnr, rsnr_std=0.0,
         )
 
     def test_tie_prefers_smaller_b(self):
         cfg = tiny_config(bit_grid=[2, 4])
         table = q.ResultTable(rows=[], aggregates=[self._agg(2, 15.0), self._agg(4, 15.0)])
-        points = q.regime_map(cfg, 128, table)
+        points = q.regime_map(cfg, table)
         assert len(points) == 1
         assert points[0].best_b == 2
         assert points[0].best_m == 64
@@ -518,7 +535,7 @@ class TestRegimeMap:
                 self._agg(4, 12.0, "bpdn"),
             ],
         )
-        points = q.regime_map(cfg, 128, table)
+        points = q.regime_map(cfg, table)
         assert points[0].best_b == 1
         assert points[0].best_rsnr == 14.0
         assert points[0].best_algorithm == "biht_l2"
@@ -535,7 +552,7 @@ class TestRegimeMap:
                 self._agg(4, 20.0, "oracle_ls"),
             ],
         )
-        points = q.regime_map(cfg, 128, table)
+        points = q.regime_map(cfg, table)
         assert points[0].best_b == 1
         assert points[0].best_rsnr == 14.0
 
@@ -551,7 +568,7 @@ class TestRegimeMap:
                 self._agg(4, 20.0, "oracle_ls"),
             ],
         )
-        (point,) = q.regime_map(cfg, 128, table)
+        (point,) = q.regime_map(cfg, table)
         assert (point.best_b, point.best_algorithm, point.best_rsnr) == (1, "biht_l2", 14.0)
 
     def test_oracle_only_config_maps_with_the_oracle(self):
@@ -560,13 +577,35 @@ class TestRegimeMap:
             rows=[],
             aggregates=[self._agg(2, 15.0, "oracle_ls"), self._agg(4, 18.0, "oracle_ls")],
         )
-        (point,) = q.regime_map(cfg, 128, table)
+        (point,) = q.regime_map(cfg, table)
         assert (point.best_b, point.best_algorithm) == (4, "oracle_ls")
+
+    def test_every_budget_in_one_call_budget_major(self):
+        # Aggregates in any order; points follow the config's budgets, then
+        # its ISNRs, and a (budget, ISNR) with no aggregate gets no point.
+        cfg = tiny_config(budgets=["1N", "2N", "3N"], bit_grid=[2, 4], isnr_list=[20.0, 10.0])
+        table = q.ResultTable(
+            rows=[],
+            aggregates=[
+                self._agg(4, 15.0, budget=128, isnr=10.0),
+                self._agg(2, 12.0, budget=128, isnr=20.0),
+                self._agg(4, 11.0, budget=64, isnr=20.0),
+                self._agg(2, 9.0, budget=64, isnr=10.0),
+                self._agg(4, 10.0, budget=64, isnr=10.0),
+            ],
+        )
+        points = q.regime_map(cfg, table)
+        assert [(p.budget, p.isnr_db, p.best_b, p.best_m) for p in points] == [
+            (64, 20.0, 4, 16),
+            (64, 10.0, 4, 16),
+            (128, 20.0, 2, 64),
+            (128, 10.0, 4, 32),
+        ]
 
     def test_runs_end_to_end(self):
         cfg = tiny_config(trials=2)
         table = q.run_sweep(cfg)
-        (point,) = q.regime_map(cfg, 128, table)
+        (point,) = q.regime_map(cfg, table)
         assert point.best_b in {1, 2, 4}
         assert point.best_algorithm in {"bpdn", "biht_l1", "biht_l2"}
         assert point.regime in {"QC", "MC", "transition"}

@@ -581,6 +581,22 @@ class TestMetrics:
         b = q.rsnr_db(3.7 * x, 3.7 * x_hat)
         assert a == pytest.approx(b, abs=1e-9)
 
+    def test_rsnr_at_any_scale(self):
+        # |x|^2 overflows above about 1e154 and leaves the normal floats
+        # below about 1e-154; the score must not notice.
+        x = 5e153 * np.ones(10)
+        assert q.rsnr_db(x, 0.9 * x) == pytest.approx(20.0, abs=1e-12)
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal(10)
+        x_hat = x + 0.04 * rng.standard_normal(10)
+        for rescale in (False, True):
+            ref = q.rsnr_db(x, x_hat, rescale_1bit=rescale)
+            assert ref < 100.0
+            for s in (1e-161, 1e-160, 1e-150, 1e-100, 1e100, 1e150, 5e153):
+                assert q.rsnr_db(s * x, s * x_hat, rescale_1bit=rescale) == pytest.approx(
+                    ref, abs=1e-9
+                )
+
     def test_rsnr_validation(self):
         with pytest.raises(q.InvalidParameterError, match="length mismatch"):
             q.rsnr_db(np.zeros(3), np.zeros(2))
